@@ -1,38 +1,11 @@
-"""Streaming singing-voice synthesizer with chunkwise attention decoding."""
+"""Streaming singing-voice synthesizer with chunkwise attention decoding.
 
-from .acoustic import (
-    GaussianParams,
-    LossReport,
-    PosteriorConfig,
-    PosteriorEncoder,
-    ScoreSequence,
-    am_losses,
-    kl_gaussian,
-    length_regulate,
-    load_score,
-    parse_score,
-    sample_latent,
-    total_loss,
-)
-from .convs import (
-    ConvSpec,
-    ConvState,
-    causal_conv1d_offline,
-    causal_conv1d_step,
-    causal_tconv1d_offline,
-    causal_tconv1d_step,
-    init_conv_state,
-    natural_pad_forward,
-    required_history,
-)
-from .decoder import (
-    AttentionLayerWeights,
-    ChunkConfig,
-    DecoderStream,
-    chunkstream_decode,
-    full_attention_oracle,
-)
-from .dsp import MelConfig, f0_metrics, mcd, mel_filterbank, mel_spectrogram, stft_magnitude
+The top level holds the synthesis API; everything else is importable from
+its submodule (``convs``, ``decoder``, ``vocoder``, ``acoustic``, ``dsp``,
+``kernels``, ``modelio``, ``pipeline``).
+"""
+
+from .acoustic import ScoreSequence, load_score
 from .errors import (
     ChunkvoxError,
     ConfigError,
@@ -41,100 +14,25 @@ from .errors import (
     SequencingError,
     ShapeError,
 )
-from .modelio import (
-    FrontendConfig,
-    ModeFlags,
-    ModelBundle,
-    ModelConfig,
-    build_bundle,
-    default_config,
-    load_config,
-    load_model,
-    load_weights,
-    make_random_model,
-    save_config,
-    save_weights,
-    tensor_manifest,
-)
-from .pipeline import (
-    MODES,
-    VERIFY_CHECKS,
-    StreamMetrics,
-    bench,
-    note_to_hz,
-    read_wav,
-    score_to_frames,
-    synth,
-    verify,
-    write_wav,
-)
-from .vocoder import Generator, GeneratorConfig, build_generator
+from .modelio import ModelBundle, load_model
+from .pipeline import MODES, StreamMetrics, synth, synth_chunks, write_wav
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionLayerWeights",
-    "ChunkConfig",
     "ChunkvoxError",
     "ConfigError",
-    "ConvSpec",
-    "ConvState",
-    "DecoderStream",
     "DomainError",
     "FormatError",
-    "FrontendConfig",
-    "GaussianParams",
-    "Generator",
-    "GeneratorConfig",
-    "LossReport",
     "MODES",
-    "MelConfig",
-    "ModeFlags",
     "ModelBundle",
-    "ModelConfig",
-    "PosteriorConfig",
-    "PosteriorEncoder",
     "ScoreSequence",
     "SequencingError",
     "ShapeError",
     "StreamMetrics",
-    "VERIFY_CHECKS",
-    "am_losses",
-    "bench",
-    "build_bundle",
-    "build_generator",
-    "causal_conv1d_offline",
-    "causal_conv1d_step",
-    "causal_tconv1d_offline",
-    "causal_tconv1d_step",
-    "chunkstream_decode",
-    "default_config",
-    "f0_metrics",
-    "full_attention_oracle",
-    "init_conv_state",
-    "kl_gaussian",
-    "length_regulate",
-    "load_config",
     "load_model",
     "load_score",
-    "load_weights",
-    "make_random_model",
-    "mcd",
-    "mel_filterbank",
-    "mel_spectrogram",
-    "natural_pad_forward",
-    "note_to_hz",
-    "parse_score",
-    "read_wav",
-    "required_history",
-    "sample_latent",
-    "save_config",
-    "save_weights",
-    "score_to_frames",
-    "stft_magnitude",
     "synth",
-    "tensor_manifest",
-    "total_loss",
-    "verify",
+    "synth_chunks",
     "write_wav",
 ]

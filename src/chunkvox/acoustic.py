@@ -388,7 +388,3 @@ class LossReport:
             + (self.l_fm_g or 0.0)
         )
 
-
-def total_loss(parts: LossReport) -> float:
-    """Sum of all loss terms in ``parts``."""
-    return parts.total

@@ -14,8 +14,9 @@ Frames are processed in fixed-size chunks.  For chunk ``i`` with body ``C``
     same keys/values, without residual, producing one memory vector that
     layer ``n + 1`` consumes at chunk ``i + 1``;
   * an optional causal smoothing layer (conv -> norm, twice) runs over the
-    body with committed state, and over the lookahead with a throwaway copy
-    of that state so lookahead never leaks into committed history.
+    body with committed state, and over the lookahead from that state with
+    the advanced state dropped, so lookahead never leaks into committed
+    history.
 
 The emitted sequence is the concatenation of the chunk bodies; lookahead
 outputs are consumed only inside the layer stack.  With ``chunk_size >=
@@ -25,7 +26,6 @@ to full self-attention (see :func:`full_attention_oracle`).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,9 +407,9 @@ class DecoderStream:
                 assert w.smooth is not None and ls.smooth is not None
                 body, ls.smooth = causal_smooth_layer(body, ls.smooth, w.smooth, cfg)
                 if look.shape[0]:
-                    # Peek: lookahead is smoothed against a copy so committed
-                    # conv history only ever contains body frames.
-                    look, _ = causal_smooth_layer(look, copy.deepcopy(ls.smooth), w.smooth, cfg)
+                    # Peek: the state advanced over the lookahead is dropped,
+                    # so committed conv history only ever contains body frames.
+                    look, _ = causal_smooth_layer(look, ls.smooth, w.smooth, cfg)
             new_memories.append(mem)
         if cfg.memory_slots > 0:
             for i, mem in enumerate(new_memories[:-1]):

@@ -16,16 +16,6 @@ from .errors import DomainError, ShapeError
 
 DTYPE = np.float32
 
-_ACTIVATION_KINDS = ("relu", "leaky_relu", "tanh")
-
-
-def as_tensor(x, ndim: int | None = None, name: str = "tensor") -> np.ndarray:
-    """Coerce ``x`` to a contiguous float32 array, optionally checking rank."""
-    arr = np.ascontiguousarray(x, dtype=DTYPE)
-    if ndim is not None and arr.ndim != ndim:
-        raise ShapeError(f"{name}: expected {ndim}-D, got {arr.ndim}-D shape {arr.shape}")
-    return arr
-
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two 2-D float32 arrays.
@@ -110,21 +100,3 @@ def leaky_relu(x: np.ndarray, alpha: float = 0.1) -> np.ndarray:
 def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
-
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Apply a named elementwise nonlinearity.
-
-    Args:
-        x: Input array (any shape).
-        kind: One of ``"relu"``, ``"leaky_relu"``, ``"tanh"``.
-
-    Raises:
-        DomainError: If ``kind`` is not a supported nonlinearity.
-    """
-    if kind == "relu":
-        return relu(x)
-    if kind == "leaky_relu":
-        return leaky_relu(x)
-    if kind == "tanh":
-        return tanh(x)
-    raise DomainError(f"unknown activation kind {kind!r}; expected one of {_ACTIVATION_KINDS}")

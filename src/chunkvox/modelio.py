@@ -28,7 +28,7 @@ from .decoder import AttentionLayerWeights, ChunkConfig, SmoothWeights
 from .dsp import MelConfig
 from .errors import ConfigError, FormatError
 from .kernels import DTYPE
-from .vocoder import Generator, GeneratorConfig, build_generator, generator_tensor_shapes
+from .vocoder import Generator, GeneratorConfig, generator_tensor_shapes
 
 WEIGHT_MAGIC = b"CSSW"
 WEIGHT_VERSION = 1
@@ -95,7 +95,13 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class ModeFlags:
-    """Ablation switches that change the computation graph."""
+    """Ablation switches that change the computation graph.
+
+    ``natural_padding=True`` makes :func:`build_bundle` give every generator
+    conv ``replicate`` padding (``False`` gives ``constant``).  It does not
+    select :func:`chunkvox.convs.natural_pad_forward`, which, like
+    ``required_history``, no synthesis path calls.
+    """
 
     causal_posterior: bool = True
     natural_padding: bool = True
@@ -451,7 +457,7 @@ def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundl
         out_w=t["posterior.out.weight"],
         out_b=t["posterior.out.bias"],
     )
-    generator = build_generator(
+    generator = Generator(
         cfg.generator,
         t,
         pad_mode="replicate" if cfg.flags.natural_padding else "constant",

@@ -1,14 +1,18 @@
 """End-to-end synthesis: score in, waveform out, with timing metrics.
 
-Three decoding modes share one weight bundle:
+The three decoding modes are schedules of one chunk loop,
+:func:`synth_chunks`: decoded blocks go through the prior, take the
+seeded noise rows at their frame offset, and are vocoded into audio.
+The mode only picks how blocks are decoded and vocoded:
 
-* ``parallel``: full self-attention over the whole sequence, then one
-  offline vocoder pass.  Nothing is incremental, so time to first audio
-  equals total processing time.
-* ``semi``: full self-attention for the decoder, but the vocoder runs
-  chunk by chunk; audio exists as soon as the first chunk is vocoded.
-* ``full``: the chunkwise streaming decoder feeds the streaming vocoder;
-  both latency and memory stay bounded by the chunk geometry.
+* ``parallel``: one full self-attention block and one offline vocoder
+  pass.  Nothing is incremental, so time to first audio equals total
+  processing time.
+* ``semi``: one full self-attention block, vocoded ``chunk_size`` frames
+  at a time; audio exists as soon as the first chunk is vocoded.
+* ``full``: the chunkwise streaming decoder emits ``chunk_size`` blocks,
+  each vocoded as it arrives; both latency and memory stay bounded by
+  the chunk geometry.
 
 All modes consume the same seeded noise rows in frame order, so their
 outputs are comparable sample for sample.
@@ -21,6 +25,7 @@ import statistics
 import sys
 import time
 import wave
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,6 +138,55 @@ class StreamMetrics:
         }
 
 
+def synth_chunks(
+    score: ScoreSequence, bundle: ModelBundle, mode: str = "full", eps_seed: int = 0
+) -> Iterator[np.ndarray]:
+    """Synthesize a score as a stream of audio chunks.
+
+    The mode is checked, the score embedded and the noise drawn before this
+    returns; decoding and vocoding happen as the iterator is consumed.  The
+    chunks concatenate to exactly ``total_frames * hop`` samples.  ``parallel``
+    yields one chunk; ``semi`` and ``full`` yield one per ``chunk_size``
+    frames.  Arguments are as for :func:`synth`.
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+    frames = score_to_frames(score, bundle)
+    rng = np.random.default_rng(eps_seed)
+    eps = rng.standard_normal((frames.shape[0], bundle.config.latent_dim)).astype(DTYPE)
+    return _chunk_loop(frames, eps, bundle, mode)
+
+
+def _decoded_blocks(frames: np.ndarray, bundle: ModelBundle, mode: str) -> Iterator[np.ndarray]:
+    cfg = bundle.config.chunk
+    if mode != "full":
+        yield full_attention_oracle(frames, cfg, bundle.decoder_weights)
+        return
+    stream = DecoderStream(cfg, bundle.decoder_weights)
+    for lo in range(0, frames.shape[0], cfg.chunk_size):
+        yield from stream.feed(frames[lo : lo + cfg.chunk_size])
+    yield from stream.finish()
+
+
+def _chunk_loop(
+    frames: np.ndarray, eps: np.ndarray, bundle: ModelBundle, mode: str
+) -> Iterator[np.ndarray]:
+    gen = bundle.generator
+    step = bundle.config.chunk.chunk_size
+    state = None if mode == "parallel" else gen.create_state()
+    done = 0
+    for decoded in _decoded_blocks(frames, bundle, mode):
+        mu, sigma = _prior_split(decoded, bundle)
+        z = (mu + sigma * eps[done : done + decoded.shape[0]]).T
+        done += decoded.shape[0]
+        if mode == "parallel":
+            yield gen.offline(z)
+        else:
+            for lo in range(0, z.shape[1], step):
+                state, audio = gen.stream(state, z[:, lo : lo + step])
+                yield audio
+
+
 def synth(
     score: ScoreSequence, bundle: ModelBundle, mode: str = "full", eps_seed: int = 0
 ) -> tuple[np.ndarray, StreamMetrics]:
@@ -149,67 +203,26 @@ def synth(
         ``(wav, metrics)`` where ``wav`` has exactly
         ``total_frames * hop`` samples in ``(-1, 1)``.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-    cfg = bundle.config
-    frames = score_to_frames(score, bundle)
-    t = frames.shape[0]
-    eps = np.random.default_rng(eps_seed).standard_normal((t, cfg.latent_dim)).astype(DTYPE)
-    hop = bundle.generator.hop
-
+    chunks = synth_chunks(score, bundle, mode, eps_seed)
     start = time.perf_counter()
     latency = None
-    if mode == "parallel":
-        decoded = full_attention_oracle(frames, cfg.chunk, bundle.decoder_weights)
-        mu, sigma = _prior_split(decoded, bundle)
-        wav = bundle.generator.offline((mu + sigma * eps).T)
-        total = time.perf_counter() - start
-        latency = total
-    elif mode == "semi":
-        decoded = full_attention_oracle(frames, cfg.chunk, bundle.decoder_weights)
-        mu, sigma = _prior_split(decoded, bundle)
-        z = (mu + sigma * eps).T
-        state = bundle.generator.create_state()
-        parts = []
-        for lo in range(0, t, cfg.chunk.chunk_size):
-            state, audio = bundle.generator.stream(state, z[:, lo : lo + cfg.chunk.chunk_size])
-            parts.append(audio)
-            if latency is None and audio.size:
-                latency = time.perf_counter() - start
-        wav = np.concatenate(parts)
-        total = time.perf_counter() - start
-    else:
-        stream = DecoderStream(cfg.chunk, bundle.decoder_weights)
-        state = bundle.generator.create_state()
-        parts = []
-        done = 0
+    parts = []
+    for audio in chunks:
+        if latency is None and audio.size:
+            latency = time.perf_counter() - start
+        parts.append(audio)
+    wav = np.concatenate(parts)
+    total = time.perf_counter() - start
 
-        def vocode(decoded_chunk: np.ndarray) -> None:
-            nonlocal state, done, latency
-            mu, sigma = _prior_split(decoded_chunk, bundle)
-            z = (mu + sigma * eps[done : done + decoded_chunk.shape[0]]).T
-            done += decoded_chunk.shape[0]
-            state, audio = bundle.generator.stream(state, z)
-            parts.append(audio)
-            if latency is None and audio.size:
-                latency = time.perf_counter() - start
-
-        for lo in range(0, t, cfg.chunk.chunk_size):
-            for out in stream.feed(frames[lo : lo + cfg.chunk.chunk_size]):
-                vocode(out)
-        for out in stream.finish():
-            vocode(out)
-        wav = np.concatenate(parts) if parts else np.zeros(0, dtype=DTYPE)
-        total = time.perf_counter() - start
-
+    t, hop = score.total_frames, bundle.generator.hop
     if wav.shape != (t * hop,):
         raise ShapeError(f"synthesized {wav.shape[0]} samples for {t} frames at hop {hop}")
     metrics = StreamMetrics(
         mode=mode,
         frames=t,
         samples=wav.shape[0],
-        sample_rate=cfg.mel.sample_rate,
-        latency_s=latency if latency is not None else total,
+        sample_rate=bundle.config.mel.sample_rate,
+        latency_s=total if mode == "parallel" else latency,
         process_time_s=total,
     )
     return wav, metrics
@@ -261,7 +274,6 @@ def bench(
     results = {}
     for mode in modes:
         latencies, processes, rtfs = [], [], []
-        audio_s = 0.0
         for score in scores:
             for _ in range(warmup):
                 synth(score, bundle, mode=mode, eps_seed=seed)
@@ -270,7 +282,6 @@ def bench(
                 latencies.append(m.latency_s)
                 processes.append(m.process_time_s)
                 rtfs.append(m.rtf)
-            audio_s = max(audio_s, m.audio_s)
         results[mode] = {
             "median_latency_s": statistics.median(latencies),
             "median_process_time_s": statistics.median(processes),

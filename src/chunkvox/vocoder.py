@@ -261,17 +261,3 @@ class Generator:
         wav = self._walk(z_chunk, states)
         return GeneratorState(states=states), wav
 
-
-def build_generator(cfg: GeneratorConfig, tensors, pad_mode: str = "replicate") -> Generator:
-    """Construct a generator, enumerating missing/mismatched tensors."""
-    return Generator(cfg, tensors, pad_mode=pad_mode)
-
-
-def generator_offline(z: np.ndarray, gen: Generator) -> np.ndarray:
-    return gen.offline(z)
-
-
-def generator_stream(
-    state: GeneratorState, z_chunk: np.ndarray, gen: Generator
-) -> tuple[GeneratorState, np.ndarray]:
-    return gen.stream(state, z_chunk)

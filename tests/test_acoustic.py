@@ -18,7 +18,6 @@ from chunkvox.acoustic import (
     length_regulate,
     parse_score,
     sample_latent,
-    total_loss,
 )
 from chunkvox.errors import ConfigError, DomainError, FormatError, ShapeError
 
@@ -210,7 +209,7 @@ class TestLossReport:
         parts = LossReport(l_f0=0.1, l_mcep=0.2, l_dur=0.3, l_kl=0.4, l_recon=0.5)
         assert abs(parts.l_am - 0.6) < 1e-12
         assert abs(parts.total - 1.5) < 1e-12
-        assert total_loss(parts) == parts.total
+        assert parts.total == parts.l_recon + parts.l_am + parts.l_kl
 
     def test_adversarial_terms_are_additive(self):
         parts = LossReport(

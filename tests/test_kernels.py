@@ -7,7 +7,6 @@ import pytest
 
 from chunkvox.errors import DomainError, ShapeError
 from chunkvox.kernels import (
-    activation,
     layer_norm,
     leaky_relu,
     matmul,
@@ -108,15 +107,7 @@ class TestActivations:
         np.testing.assert_allclose(relu(x), [0.0, 0.5])
         np.testing.assert_allclose(tanh(x), np.tanh(x), atol=1e-7)
 
-    def test_dispatch_and_unknown_kind(self):
-        x = np.array([-1.0, 1.0], dtype=np.float32)
-        np.testing.assert_array_equal(activation(x, "relu"), relu(x))
-        np.testing.assert_array_equal(activation(x, "leaky_relu"), leaky_relu(x))
-        np.testing.assert_array_equal(activation(x, "tanh"), tanh(x))
-        with pytest.raises(DomainError):
-            activation(x, "gelu")
-
     def test_float32_preserved(self):
         x = np.array([-1.0, 1.0], dtype=np.float32)
-        for kind in ("relu", "leaky_relu", "tanh"):
-            assert activation(x, kind).dtype == np.float32
+        for fn in (relu, leaky_relu, tanh):
+            assert fn(x).dtype == np.float32

@@ -25,6 +25,7 @@ from chunkvox.pipeline import (
     read_wav,
     score_to_frames,
     synth,
+    synth_chunks,
     verify,
     write_wav,
 )
@@ -171,6 +172,28 @@ class TestSynth:
     def test_short_score_single_chunk(self, bundle):
         wav, _ = synth(ScoreSequence((1,), (60,), (2,)), bundle, mode="full", eps_seed=0)
         assert wav.shape == (2 * bundle.generator.hop,)
+
+
+class TestSynthChunks:
+    def test_chunks_concatenate_to_synth_output(self, bundle):
+        score = sung_score(23)
+        for mode in MODES:
+            chunks = list(synth_chunks(score, bundle, mode, eps_seed=4))
+            wav, _ = synth(score, bundle, mode=mode, eps_seed=4)
+            assert np.concatenate(chunks).tobytes() == wav.tobytes()
+
+    def test_chunk_counts_per_mode(self, bundle):
+        step = bundle.config.chunk.chunk_size
+        for frames in (1, step, step + 1, 3 * step + 2):
+            score = ScoreSequence(phonemes=(1,), notes=(60,), durations=(frames,))
+            assert len(list(synth_chunks(score, bundle, "parallel"))) == 1
+            for mode in ("semi", "full"):
+                chunks = list(synth_chunks(score, bundle, mode))
+                assert len(chunks) == math.ceil(frames / step)
+
+    def test_unknown_mode_raises_at_call(self, bundle):
+        with pytest.raises(ConfigError, match="mode"):
+            synth_chunks(sung_score(10), bundle, "offline")
 
 
 class TestStreamMetrics:

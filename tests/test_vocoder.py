@@ -5,14 +5,7 @@ import pytest
 from netgen import random_chunking
 
 from chunkvox.errors import ConfigError, ShapeError
-from chunkvox.vocoder import (
-    Generator,
-    GeneratorConfig,
-    build_generator,
-    generator_offline,
-    generator_stream,
-    generator_tensor_shapes,
-)
+from chunkvox.vocoder import Generator, GeneratorConfig, generator_tensor_shapes
 
 F32 = np.float32
 
@@ -70,33 +63,33 @@ class TestBuild:
         del tensors["generator.post.bias"]
         tensors["generator.pre.weight"] = np.zeros((1, 1, 1), F32)
         with pytest.raises(ConfigError) as err:
-            build_generator(SMALL, tensors)
+            Generator(SMALL, tensors)
         msg = str(err.value)
         assert "generator.post.bias" in msg and "generator.pre.weight" in msg
 
     def test_bad_pad_mode_rejected(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ConfigError):
-            build_generator(SMALL, rand_tensors(rng, SMALL), pad_mode="natural")
+            Generator(SMALL, rand_tensors(rng, SMALL), pad_mode="natural")
 
 
 class TestSampleCountLaw:
     def test_every_frame_count_yields_exactly_hop_samples_each(self):
         rng = np.random.default_rng(2)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         for frames in range(1, 25):
             wav = gen.offline(rand_latents(rng, SMALL, frames))
             assert wav.shape == (frames * SMALL.hop,)
 
     def test_zero_frames_zero_samples(self):
         rng = np.random.default_rng(3)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         assert gen.offline(rand_latents(rng, SMALL, 0)).shape == (0,)
 
     def test_full_scale_hop_512(self):
         rng = np.random.default_rng(4)
         cfg = GeneratorConfig(latent_dim=16, base_channels=16, upsample_strides=(8, 8, 4, 2))
-        gen = build_generator(cfg, rand_tensors(rng, cfg))
+        gen = Generator(cfg, rand_tensors(rng, cfg))
         wav = gen.offline(rand_latents(rng, cfg, 3))
         assert wav.shape == (3 * 512,)
 
@@ -105,7 +98,7 @@ class TestStreaming:
     def test_stream_matches_offline_over_random_chunkings(self):
         rng = np.random.default_rng(5)
         for pad_mode in ("replicate", "constant"):
-            gen = build_generator(SMALL, rand_tensors(rng, SMALL), pad_mode=pad_mode)
+            gen = Generator(SMALL, rand_tensors(rng, SMALL), pad_mode=pad_mode)
             for _ in range(8):
                 frames = int(rng.integers(1, 40))
                 z = rand_latents(rng, SMALL, frames)
@@ -123,15 +116,15 @@ class TestStreaming:
 
     def test_generator_stream_function_wrapper(self):
         rng = np.random.default_rng(6)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         z = rand_latents(rng, SMALL, 4)
         state = gen.create_state()
-        state, wav = generator_stream(state, z, gen)
-        np.testing.assert_allclose(wav, generator_offline(z, gen), atol=2e-5)
+        state, wav = gen.stream(state, z)
+        np.testing.assert_allclose(wav, gen.offline(z), atol=2e-5)
 
     def test_state_mismatch_rejected(self):
         rng = np.random.default_rng(7)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         cfg2 = GeneratorConfig(
             latent_dim=8,
             base_channels=16,
@@ -139,7 +132,7 @@ class TestStreaming:
             resblock_kernel_sizes=(3,),
             resblock_dilations=((1,),),
         )
-        other = build_generator(cfg2, rand_tensors(rng, cfg2))
+        other = Generator(cfg2, rand_tensors(rng, cfg2))
         with pytest.raises(ShapeError):
             gen.stream(other.create_state(), rand_latents(rng, SMALL, 2))
 
@@ -148,7 +141,7 @@ class TestCausality:
     def test_sample_level_causality_is_bitwise(self):
         """Perturbing latent frame t cannot change any sample before t * hop."""
         rng = np.random.default_rng(8)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         z = rand_latents(rng, SMALL, 20)
         base = gen.offline(z)
         for t in (1, 7, 19):
@@ -162,8 +155,8 @@ class TestCausality:
         field of the first frame."""
         rng = np.random.default_rng(9)
         tensors = rand_tensors(rng, SMALL)
-        gen_r = build_generator(SMALL, tensors, pad_mode="replicate")
-        gen_c = build_generator(SMALL, tensors, pad_mode="constant")
+        gen_r = Generator(SMALL, tensors, pad_mode="replicate")
+        gen_c = Generator(SMALL, tensors, pad_mode="constant")
         z = rand_latents(rng, SMALL, 60)
         a = gen_r.offline(z)
         b = gen_c.offline(z)
@@ -174,12 +167,12 @@ class TestCausality:
 class TestOutputRange:
     def test_samples_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(10)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         wav = gen.offline(rand_latents(rng, SMALL, 30) * 10.0)
         assert np.all(wav > -1.0) and np.all(wav < 1.0)
 
     def test_bad_latent_shape_rejected(self):
         rng = np.random.default_rng(11)
-        gen = build_generator(SMALL, rand_tensors(rng, SMALL))
+        gen = Generator(SMALL, rand_tensors(rng, SMALL))
         with pytest.raises(ShapeError):
             gen.offline(np.zeros((SMALL.latent_dim + 1, 4), F32))
