@@ -2,17 +2,20 @@
 
 Frames are processed in fixed-size chunks.  For chunk ``i`` with body ``C``
 (``chunk_size`` frames, time-major ``[frames, hidden]``) and lookahead ``R``
-(the next ``right_context`` frames):
+(the next ``right_context`` frames), each layer makes one pass over
+``X = [C; R]``:
 
-  * queries come from layer-normed ``C`` / ``R``;
   * keys/values concatenate, in order: projections of the memory bank, the
     cached key/value projections of the previous chunks' last
-    ``left_context`` frames, and projections of the raw ``C`` and ``R``;
-  * attention outputs get a residual from the raw inputs, then a
-    feed-forward block with post-residual layer norm;
-  * a summary query (projection of the mean of raw ``C``) attends over the
-    same keys/values, without residual, producing one memory vector that
-    layer ``n + 1`` consumes at chunk ``i + 1``;
+    ``left_context`` frames, and projections of the raw ``X``; the memory
+    bank and ``X`` go through each projection together;
+  * the queries are the layer-normed ``X`` plus one summary query, the mean
+    of raw ``C``; a single attention call serves all of them;
+  * the summary row of the attention output, without residual, is the
+    memory vector that layer ``n + 1`` consumes at chunk ``i + 1``;
+  * the other rows get a residual from ``X``, then one feed-forward block
+    with post-residual layer norm;
+  * the body rows' key/value projections become the left cache;
   * an optional causal smoothing layer (conv -> norm, twice) runs over the
     body with committed state, and over the lookahead from that state with
     the advanced state dropped, so lookahead never leaks into committed
@@ -181,7 +184,6 @@ class DecoderState:
     """Streaming state across the whole layer stack."""
 
     layers: list[_LayerState]
-    chunk_index: int = 0
 
 
 def _smooth_conv_spec(cfg: ChunkConfig) -> ConvSpec:
@@ -214,8 +216,6 @@ def _mha(
 ) -> np.ndarray:
     """Multi-head scaled dot-product attention with output projection."""
     tq, d = q.shape
-    if tq == 0:
-        return np.zeros((0, d), dtype=DTYPE)
     dh = d // num_heads
     scale = DTYPE(1.0 / np.sqrt(dh))
     out = np.empty((tq, d), dtype=DTYPE)
@@ -228,8 +228,6 @@ def _mha(
 
 def _ffn_block(h: np.ndarray, w: AttentionLayerWeights) -> np.ndarray:
     """Feed-forward with residual and post-residual layer norm."""
-    if h.shape[0] == 0:
-        return h
     inner = relu(matmul(h, w.ffn_w1) + w.ffn_b1)
     return layer_norm(h + matmul(inner, w.ffn_w2) + w.ffn_b2, w.ffn_norm_gamma, w.ffn_norm_beta)
 
@@ -293,43 +291,26 @@ def chunk_attention_layer(
             f"chunk width {body.shape[1]}/{lookahead.shape[1]} does not match hidden {cfg.hidden}"
         )
     ls = state.layers[layer]
+    n, m = body.shape[0], len(ls.memory)
 
-    body_n = layer_norm(body, w.attn_norm_gamma, w.attn_norm_beta)
-    look_n = (
-        layer_norm(lookahead, w.attn_norm_gamma, w.attn_norm_beta)
-        if lookahead.shape[0]
-        else lookahead
-    )
+    x = np.concatenate([body, lookahead], axis=0)
+    src = np.vstack([*ls.memory, x])
+    k_src = matmul(src, w.w_k)
+    v_src = matmul(src, w.w_v)
+    keys = np.concatenate([k_src[:m], ls.k_left, k_src[m:]], axis=0)
+    vals = np.concatenate([v_src[:m], ls.v_left, v_src[m:]], axis=0)
 
-    k_body = matmul(body, w.w_k)
-    v_body = matmul(body, w.w_v)
-    k_look = matmul(lookahead, w.w_k) if lookahead.shape[0] else lookahead
-    v_look = matmul(lookahead, w.w_v) if lookahead.shape[0] else lookahead
-    if ls.memory:
-        mem = np.stack(ls.memory).astype(DTYPE)
-        k_mem = matmul(mem, w.w_k)
-        v_mem = matmul(mem, w.w_v)
-    else:
-        k_mem = v_mem = np.zeros((0, cfg.hidden), dtype=DTYPE)
-
-    keys = np.concatenate([k_mem, ls.k_left, k_body, k_look], axis=0)
-    vals = np.concatenate([v_mem, ls.v_left, v_body, v_look], axis=0)
-
-    body_out = _mha(matmul(body_n, w.w_q), keys, vals, w.w_out, cfg.num_heads) + body
-    look_out = (
-        _mha(matmul(look_n, w.w_q), keys, vals, w.w_out, cfg.num_heads) + lookahead
-        if lookahead.shape[0]
-        else lookahead
-    )
-
-    summary = matmul(summary_vector(body)[None, :], w.w_q)
-    memory_vec = _mha(summary, keys, vals, w.w_out, cfg.num_heads)[0]
+    xn = layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta)
+    queries = matmul(np.vstack([xn, summary_vector(body)]), w.w_q)
+    attn = _mha(queries, keys, vals, w.w_out, cfg.num_heads)
 
     if cfg.left_context > 0:
-        ls.k_left = np.concatenate([ls.k_left, k_body], axis=0)[-cfg.left_context :]
-        ls.v_left = np.concatenate([ls.v_left, v_body], axis=0)[-cfg.left_context :]
+        ls.k_left = np.concatenate([ls.k_left, k_src[m : m + n]], axis=0)[-cfg.left_context :]
+        ls.v_left = np.concatenate([ls.v_left, v_src[m : m + n]], axis=0)[-cfg.left_context :]
 
-    return _ffn_block(body_out, w), _ffn_block(look_out, w), memory_vec
+    # The last row answers the summary query: the memory vector, no residual.
+    out = _ffn_block(attn[:-1] + x, w)
+    return out[:n], out[n:], attn[-1]
 
 
 class DecoderStream:
@@ -369,11 +350,7 @@ class DecoderStream:
         cfg = self.cfg
         if self._buf.shape[0] < cfg.chunk_size + cfg.right_context:
             return None
-        body = self._buf[: cfg.chunk_size]
-        look = self._buf[cfg.chunk_size : cfg.chunk_size + cfg.right_context]
-        out = self._process(body, look)
-        self._buf = self._buf[cfg.chunk_size :]
-        return out
+        return self._process()
 
     def feed(self, frames: np.ndarray) -> list[np.ndarray]:
         """Push frames and return every chunk output that became ready."""
@@ -388,17 +365,17 @@ class DecoderStream:
         if self._finished:
             raise SequencingError("finish called twice")
         self._finished = True
-        cfg = self.cfg
         outs = []
         while self._buf.shape[0] > 0:
-            body = self._buf[: cfg.chunk_size]
-            look = self._buf[cfg.chunk_size : cfg.chunk_size + cfg.right_context]
-            outs.append(self._process(body, look))
-            self._buf = self._buf[body.shape[0] :]
+            outs.append(self._process())
         return outs
 
-    def _process(self, body: np.ndarray, look: np.ndarray) -> np.ndarray:
+    def _process(self) -> np.ndarray:
+        """Run the chunk at the head of the buffer, then drop its body frames."""
         cfg = self.cfg
+        body = self._buf[: cfg.chunk_size]
+        look = self._buf[cfg.chunk_size : cfg.chunk_size + cfg.right_context]
+        n = body.shape[0]
         new_memories = []
         for i, w in enumerate(self.weights):
             body, look, mem = chunk_attention_layer(body, look, self.state, i, w, cfg)
@@ -406,17 +383,16 @@ class DecoderStream:
                 ls = self.state.layers[i]
                 assert w.smooth is not None and ls.smooth is not None
                 body, ls.smooth = causal_smooth_layer(body, ls.smooth, w.smooth, cfg)
-                if look.shape[0]:
-                    # Peek: the state advanced over the lookahead is dropped,
-                    # so committed conv history only ever contains body frames.
-                    look, _ = causal_smooth_layer(look, ls.smooth, w.smooth, cfg)
+                # Peek: the state advanced over the lookahead is dropped, so
+                # committed conv history only ever contains body frames.
+                look, _ = causal_smooth_layer(look, ls.smooth, w.smooth, cfg)
             new_memories.append(mem)
         if cfg.memory_slots > 0:
             for i, mem in enumerate(new_memories[:-1]):
                 bank = self.state.layers[i + 1].memory
                 bank.append(mem)
                 del bank[: max(0, len(bank) - cfg.memory_slots)]
-        self.state.chunk_index += 1
+        self._buf = self._buf[n:]
         return body
 
 

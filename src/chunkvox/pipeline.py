@@ -229,9 +229,19 @@ def synth(
 
 
 def write_wav(wav: np.ndarray, sample_rate: int, path: str) -> None:
-    """Write mono 16-bit PCM; values clip to [-1, 1] and round to nearest."""
+    """Write mono 16-bit PCM; values clip to [-1, 1] and round to nearest.
+
+    Raises:
+        ShapeError: If ``wav`` is not 1-D.
+        DomainError: If any sample is NaN or infinite; no file is written.
+    """
     if wav.ndim != 1:
         raise ShapeError(f"waveform must be 1-D, got shape {wav.shape}")
+    bad = np.flatnonzero(~np.isfinite(wav))
+    if bad.size:
+        raise DomainError(
+            f"waveform has {bad.size} non-finite samples, the first at index {bad[0]}"
+        )
     pcm = np.rint(np.clip(wav, -1.0, 1.0) * 32767.0).astype("<i2")
     with wave.open(path, "wb") as f:
         f.setnchannels(1)

@@ -7,7 +7,7 @@ terminal summary) and asserts, so a red criterion is also a red test.
 import math
 import statistics
 import time
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,16 +377,16 @@ def test_criterion_10_model_file_round_trip(tmp_path):
         np.abs(back - wav).max()
     ) <= 0.5 / 32767 + 1e-7
 
-    raw = open(wpath, "rb").read()
+    raw = Path(wpath).read_bytes()
     tampered = 0
     corrupt = bytearray(raw)
     corrupt[0] ^= 0xFF
-    open(wpath, "wb").write(corrupt)
+    Path(wpath).write_bytes(corrupt)
     try:
         load_weights(wpath)
     except FormatError:
         tampered += 1
-    open(wpath, "wb").write(raw[: len(raw) // 2])
+    Path(wpath).write_bytes(raw[: len(raw) // 2])
     try:
         load_weights(wpath)
     except FormatError:

@@ -10,6 +10,7 @@ from chunkvox.decoder import (
     ChunkConfig,
     DecoderStream,
     causal_smooth_layer,
+    chunk_attention_layer,
     chunkstream_decode,
     full_attention_oracle,
     init_decoder_state,
@@ -278,6 +279,66 @@ class TestStreamingBehavior:
         with pytest.raises(ConfigError) as err:
             DecoderStream(SMALL, w)
         assert "w_q" in str(err.value) and "ffn_b1" in str(err.value)
+
+
+def _ln(x, gamma, beta):
+    c = x - x.mean(axis=1, keepdims=True)
+    return c / np.sqrt((c * c).mean(axis=1, keepdims=True) + 1e-5) * gamma + beta
+
+
+def _attend(q, keys, vals, w_out, heads):
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        s = q[:, sl] @ keys[:, sl].T / np.sqrt(dh)
+        p = np.exp(s - s.max(axis=1, keepdims=True))
+        outs.append(p / p.sum(axis=1, keepdims=True) @ vals[:, sl])
+    return np.concatenate(outs, axis=1) @ w_out
+
+
+def three_call_layer(body, look, mem, k_left, v_left, w, cfg):
+    """The layer as separate body, lookahead and summary attention calls and
+    separate body and lookahead feed-forward calls, in float64."""
+    w = {k: v.astype(np.float64) for k, v in vars(w).items() if k != "smooth"}
+    body, look, mem = (a.astype(np.float64) for a in (body, look, mem))
+    keys = np.concatenate([mem @ w["w_k"], k_left, body @ w["w_k"], look @ w["w_k"]])
+    vals = np.concatenate([mem @ w["w_v"], v_left, body @ w["w_v"], look @ w["w_v"]])
+
+    def attend(q):
+        return _attend(q @ w["w_q"], keys, vals, w["w_out"], cfg.num_heads)
+
+    def attn_ffn(x):
+        h = attend(_ln(x, w["attn_norm_gamma"], w["attn_norm_beta"])) + x
+        inner = np.maximum(h @ w["ffn_w1"] + w["ffn_b1"], 0.0)
+        return _ln(h + inner @ w["ffn_w2"] + w["ffn_b2"], w["ffn_norm_gamma"], w["ffn_norm_beta"])
+
+    memory_vec = attend(body.mean(axis=0, keepdims=True))[0]
+    k_new = np.concatenate([k_left, body @ w["w_k"]])[-cfg.left_context :]
+    v_new = np.concatenate([v_left, body @ w["w_v"]])[-cfg.left_context :]
+    return attn_ffn(body), attn_ffn(look), memory_vec, k_new, v_new
+
+
+class TestChunkLayer:
+    @pytest.mark.parametrize("n, r", [(5, 2), (3, 1), (2, 0)])
+    def test_one_pass_matches_three_call_formulation(self, n, r):
+        """Layer 1 after two chunks has a memory bank and a full left cache;
+        every output and the advanced cache match the per-part evaluation."""
+        rng = np.random.default_rng(21)
+        w = rand_decoder_weights(rng, SMALL)
+        stream = DecoderStream(SMALL, w)
+        stream.feed(rand_frames(rng, 2 * SMALL.chunk_size + SMALL.right_context, SMALL.hidden))
+        ls = stream.state.layers[1]
+        assert len(ls.memory) == 2 and ls.k_left.shape[0] == SMALL.left_context
+        body = rand_frames(rng, n, SMALL.hidden)
+        look = rand_frames(rng, r, SMALL.hidden)
+        want = three_call_layer(
+            body, look, np.stack(ls.memory), ls.k_left.copy(), ls.v_left.copy(), w[1], SMALL
+        )
+        got = chunk_attention_layer(body, look, stream.state, 1, w[1], SMALL)
+        assert got[0].shape == (n, SMALL.hidden) and got[1].shape == (r, SMALL.hidden)
+        for g, x in zip((*got, ls.k_left, ls.v_left), want):
+            np.testing.assert_allclose(g, x, atol=1e-5)
 
 
 class TestKeyValueCache:

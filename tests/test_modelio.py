@@ -1,6 +1,6 @@
 """Weight container, config schema, and bundle assembly tests."""
 
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,35 +94,35 @@ class TestWeightContainer:
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "w.cssw")
         save_weights(path, {"a": np.ones(2, dtype=np.float32)})
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[0] ^= 0xFF
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         with pytest.raises(FormatError, match="magic"):
             load_weights(path)
 
     def test_bad_version_rejected(self, tmp_path):
         path = str(tmp_path / "w.cssw")
         save_weights(path, {"a": np.ones(2, dtype=np.float32)})
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[4] = 99
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
         with pytest.raises(FormatError, match="version"):
             load_weights(path)
 
     def test_truncation_rejected_at_every_byte(self, tmp_path):
         path = str(tmp_path / "w.cssw")
         save_weights(path, {"ab": np.arange(3, dtype=np.float32)})
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         for cut in range(len(raw)):
-            open(path, "wb").write(raw[:cut])
+            Path(path).write_bytes(raw[:cut])
             with pytest.raises(FormatError):
                 load_weights(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "w.cssw")
         save_weights(path, {"a": np.ones(2, dtype=np.float32)})
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw + b"\x00")
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_weights(path)
 
@@ -134,14 +134,14 @@ class TestWeightContainer:
         entry += struct.pack("<f", 1.0)
         blob = struct.pack("<4sII", b"CSSW", 1, 2) + entry + entry
         path = str(tmp_path / "w.cssw")
-        open(path, "wb").write(blob)
+        Path(path).write_bytes(blob)
         with pytest.raises(FormatError, match="duplicate"):
             load_weights(path)
 
     def test_values_stored_little_endian_float32(self, tmp_path):
         path = str(tmp_path / "w.cssw")
         save_weights(path, {"x": np.array([1.0], dtype=np.float32)})
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[-4:] == b"\x00\x00\x80\x3f"
 
 
@@ -184,7 +184,7 @@ class TestConfigSchema:
 
     def test_non_json_rejected(self, tmp_path):
         path = str(tmp_path / "config.json")
-        open(path, "w").write("not json {")
+        Path(path).write_text("not json {")
         with pytest.raises(FormatError, match="JSON"):
             load_config(path)
 

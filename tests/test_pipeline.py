@@ -2,11 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chunkvox.acoustic import ScoreSequence, parse_score
+from chunkvox.acoustic import ScoreSequence
 from chunkvox.cli import main as cli_main
 from chunkvox.errors import ConfigError, DomainError, ShapeError
 from chunkvox.modelio import (
@@ -228,7 +229,7 @@ class TestWavIO:
     def test_header_bytes_exact(self, tmp_path):
         path = str(tmp_path / "a.wav")
         write_wav(np.zeros(4, dtype=np.float32), 44100, path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[:4] == b"RIFF"
         assert raw[8:12] == b"WAVE"
         assert raw[22:24] == (1).to_bytes(2, "little")
@@ -239,13 +240,22 @@ class TestWavIO:
     def test_clipping_saturates(self, tmp_path):
         path = str(tmp_path / "a.wav")
         write_wav(np.array([2.0, -2.0], dtype=np.float32), 8000, path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         pcm = np.frombuffer(raw[-4:], dtype="<i2")
         assert pcm[0] == 32767 and pcm[1] == -32767
 
     def test_rejects_matrix(self, tmp_path):
         with pytest.raises(ShapeError):
             write_wav(np.zeros((2, 2), dtype=np.float32), 8000, str(tmp_path / "a.wav"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_without_writing(self, tmp_path, bad):
+        wav = np.zeros(6, dtype=np.float32)
+        wav[[2, 4]] = bad
+        path = tmp_path / "a.wav"
+        with pytest.raises(DomainError, match="2 non-finite samples, the first at index 2"):
+            write_wav(wav, 8000, str(path))
+        assert not path.exists()
 
 
 class TestBench:
@@ -325,7 +335,7 @@ def write_score_file(tmp_path, frames=12):
     for i in range(3):
         d = per if i < 2 else frames - 2 * per
         lines.append(f"{i + 1}\t{60 + i}\t{d}")
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -346,7 +356,7 @@ class TestCli:
         wav, rate = read_wav(opath)
         assert rate == 800
         assert wav.shape == (12 * 4,)
-        metrics = json.load(open(mpath))
+        metrics = json.loads(Path(mpath).read_text())
         assert metrics["mode"] == "full"
         assert metrics["frames"] == 12
         out = json.loads(capsys.readouterr().out)
@@ -359,7 +369,7 @@ class TestCli:
         )
         assert code == 0
         capsys.readouterr()
-        obj = json.load(open(cpath))
+        obj = json.loads(Path(cpath).read_text())
         assert obj["version"] == 1
         assert obj["chunk"]["chunk_size"] == 20
 
@@ -434,9 +444,9 @@ class TestCli:
 
     def test_corrupt_weights_error_is_json(self, tmp_path, capsys):
         cpath, wpath = write_model_files(tmp_path)
-        raw = bytearray(open(wpath, "rb").read())
+        raw = bytearray(Path(wpath).read_bytes())
         raw[0] ^= 0xFF
-        open(wpath, "wb").write(raw)
+        Path(wpath).write_bytes(raw)
         code = cli_main(["verify", "--config", cpath, "--weights", wpath])
         assert code == 1
         err = json.loads(capsys.readouterr().err)

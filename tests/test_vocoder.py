@@ -103,24 +103,16 @@ class TestStreaming:
                 frames = int(rng.integers(1, 40))
                 z = rand_latents(rng, SMALL, frames)
                 want = gen.offline(z)
-                state = gen.create_state()
-                parts = []
-                pos = 0
-                for n in random_chunking(rng, frames):
-                    state, wav = gen.stream(state, z[:, pos : pos + n])
-                    assert wav.shape == (n * SMALL.hop,)
-                    parts.append(wav)
-                    pos += n
-                got = np.concatenate(parts)
-                np.testing.assert_allclose(got, want, atol=2e-5)
-
-    def test_generator_stream_function_wrapper(self):
-        rng = np.random.default_rng(6)
-        gen = Generator(SMALL, rand_tensors(rng, SMALL))
-        z = rand_latents(rng, SMALL, 4)
-        state = gen.create_state()
-        state, wav = gen.stream(state, z)
-        np.testing.assert_allclose(wav, gen.offline(z), atol=2e-5)
+                for sizes in (random_chunking(rng, frames), [frames]):
+                    state = gen.create_state()
+                    parts = []
+                    pos = 0
+                    for n in sizes:
+                        state, wav = gen.stream(state, z[:, pos : pos + n])
+                        assert wav.shape == (n * SMALL.hop,)
+                        parts.append(wav)
+                        pos += n
+                    np.testing.assert_allclose(np.concatenate(parts), want, atol=2e-5)
 
     def test_state_mismatch_rejected(self):
         rng = np.random.default_rng(7)
