@@ -4,6 +4,10 @@ Layout conventions:
   * activations are ``[channels, length]`` float32 arrays;
   * convolution kernels are ``[out_channels, in_channels, kernel_size]`` for
     both plain and transposed layers;
+  * kernels a model is built with are stored tap-major (:func:`tap_major`):
+    the ``[out, in, taps]`` view of a C-contiguous ``[out, taps, in]`` array,
+    so the per-tap matrix ``w[:, :, j]`` has unit inner stride and goes to
+    BLAS without a copy; any other layout computes the same values, slower;
   * biases are ``[out_channels]``.
 
 A plain causal layer left-pads by ``dilation * (kernel_size - 1)`` so output
@@ -102,6 +106,11 @@ class ConvState:
     carry: np.ndarray | None = None
     fifo: np.ndarray | None = None
     left_trim: int = 0
+
+
+def tap_major(w: np.ndarray) -> np.ndarray:
+    """``w`` as float32 ``[out, in, taps]``, stored C-contiguous as ``[out, taps, in]``."""
+    return np.ascontiguousarray(np.swapaxes(w, 1, 2), dtype=DTYPE).swapaxes(1, 2)
 
 
 def _check_kernel(spec: ConvSpec, w: np.ndarray, b: np.ndarray) -> None:
@@ -244,13 +253,23 @@ def init_conv_state(spec: ConvSpec) -> ConvState:
 
 
 def causal_conv1d_step(
-    state: ConvState, chunk: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec
+    state: ConvState,
+    chunk: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    spec: ConvSpec,
+    commit: int | None = None,
 ) -> tuple[ConvState, np.ndarray]:
     """Feed one chunk through a plain causal layer.
 
     Concatenating the outputs over any chunking of a sequence equals the
     offline result up to float associativity.  Empty chunks are legal and
     produce empty output.
+
+    With ``commit`` (stride 1 only, ``0 <= commit <= width``) the output
+    still covers the whole chunk, but the returned state is the one that
+    feeding only the first ``commit`` frames would leave: the frames after
+    them are a peek that never enters the history.
 
     Returns:
         ``(next_state, out)`` with ``out`` of shape ``[out_channels, n_out]``.
@@ -259,6 +278,11 @@ def causal_conv1d_step(
         raise ConfigError("causal_conv1d_step called with a transposed spec")
     _check_input(spec, chunk)
     _check_kernel(spec, w, b)
+    if commit is not None:
+        if spec.stride != 1:
+            raise ConfigError(f"commit needs stride 1, got stride {spec.stride}")
+        if not 0 <= commit <= chunk.shape[1]:
+            raise ConfigError(f"commit {commit} outside [0, {chunk.shape[1]}]")
     if chunk.shape[1] == 0:
         return state, np.zeros((spec.out_channels, 0), dtype=DTYPE)
     buf, primed, skip = state.buf, state.primed, state.skip
@@ -276,6 +300,11 @@ def causal_conv1d_step(
             )
     buf = np.concatenate([buf, chunk], axis=1)
     out = _conv_valid(buf, w, b, spec)
+    if commit is not None:
+        if commit == 0:
+            return state, out
+        # At stride 1 the primed history is exactly left_context frames.
+        return ConvState(buf=buf[:, commit : commit + left_context(spec)], primed=True), out
     owed = out.shape[1] * spec.stride
     drop = min(owed, buf.shape[1])
     buf = buf[:, drop:]

@@ -16,10 +16,9 @@ Frames are processed in fixed-size chunks.  For chunk ``i`` with body ``C``
   * the other rows get a residual from ``X``, then one feed-forward block
     with post-residual layer norm;
   * the body rows' key/value projections become the left cache;
-  * an optional causal smoothing layer (conv -> norm, twice) runs over the
-    body with committed state, and over the lookahead from that state with
-    the advanced state dropped, so lookahead never leaks into committed
-    history.
+  * an optional causal smoothing layer (conv -> norm, twice) runs once over
+    ``X``; each conv's carried state is cut at the end of the body, so
+    lookahead frames are smoothed but never enter committed history.
 
 The emitted sequence is the concatenation of the chunk bodies; lookahead
 outputs are consumed only inside the layer stack.  With ``chunk_size >=
@@ -233,19 +232,25 @@ def _ffn_block(h: np.ndarray, w: AttentionLayerWeights) -> np.ndarray:
 
 
 def causal_smooth_layer(
-    chunk: np.ndarray, state: SmoothState, w: SmoothWeights, cfg: ChunkConfig
+    chunk: np.ndarray,
+    state: SmoothState,
+    w: SmoothWeights,
+    cfg: ChunkConfig,
+    commit: int | None = None,
 ) -> tuple[np.ndarray, SmoothState]:
     """Run the two causal conv -> layer-norm stages over one chunk.
 
     Returns the smoothed chunk and the advanced state; feeding chunks in
-    sequence reproduces the offline evaluation of the same stack.
+    sequence reproduces the offline evaluation of the same stack.  With
+    ``commit`` the whole chunk is smoothed but the state advances over its
+    first ``commit`` frames only (see :func:`causal_conv1d_step`).
     """
     spec = _smooth_conv_spec(cfg)
     if chunk.shape[0] == 0:
         return chunk, state
-    s1, y = causal_conv1d_step(state.conv1, chunk.T, w.conv1_w, w.conv1_b, spec)
+    s1, y = causal_conv1d_step(state.conv1, chunk.T, w.conv1_w, w.conv1_b, spec, commit)
     y = layer_norm(y.T, w.norm1_gamma, w.norm1_beta)
-    s2, y2 = causal_conv1d_step(state.conv2, y.T, w.conv2_w, w.conv2_b, spec)
+    s2, y2 = causal_conv1d_step(state.conv2, y.T, w.conv2_w, w.conv2_b, spec, commit)
     out = layer_norm(y2.T, w.norm2_gamma, w.norm2_beta)
     return out, SmoothState(conv1=s1, conv2=s2)
 
@@ -319,7 +324,9 @@ class DecoderStream:
     Frames are buffered with :meth:`push`; :meth:`pop_chunk` processes one
     chunk as soon as ``chunk_size + right_context`` frames are buffered and
     returns its committed body output.  :meth:`finish` drains the tail, where
-    the final chunks run with partial or empty lookahead.
+    the final chunks run with partial or empty lookahead.  A chunk that
+    raises leaves the layer caches half-advanced, so the stream is poisoned:
+    every later call raises :class:`SequencingError` naming that error.
     """
 
     def __init__(self, cfg: ChunkConfig, weights: list[AttentionLayerWeights]):
@@ -333,9 +340,18 @@ class DecoderStream:
         self.state = init_decoder_state(cfg)
         self._buf = np.zeros((0, cfg.hidden), dtype=DTYPE)
         self._finished = False
+        self._failure: BaseException | None = None
+
+    def _check_usable(self) -> None:
+        if self._failure is not None:
+            raise SequencingError(
+                "decoder stream is unusable after a failed chunk: "
+                f"{type(self._failure).__name__}: {self._failure}"
+            ) from self._failure
 
     def push(self, frames: np.ndarray) -> None:
         """Buffer frames; no processing happens here."""
+        self._check_usable()
         if self._finished:
             raise SequencingError("push after finish")
         if frames.ndim != 2 or frames.shape[1] != self.cfg.hidden:
@@ -347,6 +363,7 @@ class DecoderStream:
 
     def pop_chunk(self) -> np.ndarray | None:
         """Process one full-lookahead chunk if enough frames are buffered."""
+        self._check_usable()
         cfg = self.cfg
         if self._buf.shape[0] < cfg.chunk_size + cfg.right_context:
             return None
@@ -362,6 +379,7 @@ class DecoderStream:
 
     def finish(self) -> list[np.ndarray]:
         """Flush buffered frames; the last chunk may be short with no lookahead."""
+        self._check_usable()
         if self._finished:
             raise SequencingError("finish called twice")
         self._finished = True
@@ -372,6 +390,13 @@ class DecoderStream:
 
     def _process(self) -> np.ndarray:
         """Run the chunk at the head of the buffer, then drop its body frames."""
+        try:
+            return self._run_chunk()
+        except BaseException as exc:
+            self._failure = exc
+            raise
+
+    def _run_chunk(self) -> np.ndarray:
         cfg = self.cfg
         body = self._buf[: cfg.chunk_size]
         look = self._buf[cfg.chunk_size : cfg.chunk_size + cfg.right_context]
@@ -382,10 +407,13 @@ class DecoderStream:
             if cfg.use_smooth:
                 ls = self.state.layers[i]
                 assert w.smooth is not None and ls.smooth is not None
-                body, ls.smooth = causal_smooth_layer(body, ls.smooth, w.smooth, cfg)
-                # Peek: the state advanced over the lookahead is dropped, so
-                # committed conv history only ever contains body frames.
-                look, _ = causal_smooth_layer(look, ls.smooth, w.smooth, cfg)
+                # Committed conv history only ever contains body frames.
+                x, ls.smooth = causal_smooth_layer(
+                    np.concatenate([body, look], axis=0), ls.smooth, w.smooth, cfg, commit=n
+                )
+                # The norm leaves rows strided; the next layer wants them contiguous.
+                x = np.ascontiguousarray(x)
+                body, look = x[:n], x[n:]
             new_memories.append(mem)
         if cfg.memory_slots > 0:
             for i, mem in enumerate(new_memories[:-1]):

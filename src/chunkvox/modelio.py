@@ -18,12 +18,15 @@ documented derived value where one exists, e.g. mel ``fmax``).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acoustic import PosteriorConfig, PosteriorEncoder, PosteriorWeights
+from .convs import tap_major
 from .decoder import AttentionLayerWeights, ChunkConfig, SmoothWeights
 from .dsp import MelConfig
 from .errors import ConfigError, FormatError
@@ -57,39 +60,60 @@ def save_weights(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_weights(path: str) -> dict[str, np.ndarray]:
-    """Read a named-tensor container, validating structure byte-exactly."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
+    """Read a named-tensor container, validating structure byte-exactly.
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"truncated weight file while reading {what}")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    magic, version, count = struct.unpack("<4sII", take(12, "header"))
-    if magic != WEIGHT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
-    if version != WEIGHT_VERSION:
-        raise FormatError(f"unsupported weight file version {version}")
+    Tensors are read from the file straight into read-only views of one
+    float32 buffer, packed back to back.  No copy of the file is made, and
+    every view is aligned for BLAS, which views at the container's own byte
+    offsets would not be.
+    """
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1, "rank"))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        n_items = 1
-        for d in dims:
-            n_items *= d
-        data = take(4 * n_items, f"data of {name!r}")
-        if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(DTYPE)
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} trailing bytes after last tensor")
+    with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+
+        def take(n: int, what: str) -> int:
+            """Check that ``n`` more bytes exist and account for them."""
+            nonlocal left
+            if n > left:
+                raise FormatError(f"truncated weight file while reading {what}")
+            left -= n
+            return n
+
+        def read(n: int, what: str) -> bytes:
+            data = f.read(take(n, what))
+            if len(data) != n:  # the file shrank while being read
+                raise FormatError(f"truncated weight file while reading {what}")
+            return data
+
+        def unpack(fmt: str, what: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
+        magic, version, count = unpack("<4sII", "header")
+        if magic != WEIGHT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
+        if version != WEIGHT_VERSION:
+            raise FormatError(f"unsupported weight file version {version}")
+        # Tensor data fits in the rest of the file; packed float32 views stay aligned.
+        arena = np.empty(left // 4, dtype="<f4")
+        used = 0
+        for _ in range(count):
+            (name_len,) = unpack("<H", "name length")
+            name = read(name_len, "name").decode("utf-8")
+            (ndim,) = unpack("<B", "rank")
+            dims = unpack(f"<{ndim}I", "dims")
+            what = f"data of {name!r}"
+            n_items = math.prod(dims)
+            nbytes = take(4 * n_items, what)
+            if name in tensors:
+                raise FormatError(f"duplicate tensor name {name!r}")
+            arr = arena[used : used + n_items].reshape(dims)
+            used += n_items
+            if f.readinto(arr) != nbytes:
+                raise FormatError(f"truncated weight file while reading {what}")
+            arr.flags.writeable = False
+            tensors[name] = arr
+    if left:
+        raise FormatError(f"{left} trailing bytes after last tensor")
     return tensors
 
 
@@ -411,7 +435,11 @@ def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundl
     if problems:
         raise ConfigError("; ".join(problems))
 
-    t = {name: np.asarray(tensors[name], dtype=DTYPE) for name in manifest}
+    # Every 3-D tensor in the manifest is a conv kernel.
+    t = {
+        name: tap_major(tensors[name]) if len(shape) == 3 else np.asarray(tensors[name], dtype=DTYPE)
+        for name, shape in manifest.items()
+    }
     decoder_weights = []
     for i in range(cfg.chunk.num_layers):
         p = f"decoder.{i}."

@@ -26,6 +26,7 @@ from chunkvox.convs import (
     net_stream_init,
     net_stream_step,
     required_history,
+    tap_major,
     total_upsampling,
 )
 from chunkvox.errors import ConfigError, ShapeError
@@ -289,6 +290,74 @@ class TestStreaming:
             want = net_offline(x, net)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, atol=1e-4)
+
+
+class TestCommit:
+    """``commit`` cuts the carried state inside a chunk; outputs are unchanged."""
+
+    @pytest.mark.parametrize("dilation", [1, 3])
+    @pytest.mark.parametrize("pad_mode", ["constant", "replicate"])
+    def test_state_is_cut_at_commit(self, dilation, pad_mode):
+        rng = np.random.default_rng(11 + dilation)
+        spec = ConvSpec(4, 3, 3, dilation=dilation, pad_mode=pad_mode)
+        w = rng.normal(size=(3, 4, 3)).astype(F32)
+        b = rng.normal(size=3).astype(F32)
+        x = rng.normal(size=(4, 13)).astype(F32)
+        fresh = init_conv_state(spec)
+        primed, _ = causal_conv1d_step(fresh, x[:, :6], w, b, spec)
+        chunk = x[:, 6:]
+        n = chunk.shape[1]
+        for state in (fresh, primed):
+            _, want_out = causal_conv1d_step(state, chunk, w, b, spec)
+            for commit in range(n + 1):
+                got_state, got_out = causal_conv1d_step(state, chunk, w, b, spec, commit)
+                np.testing.assert_array_equal(got_out, want_out)
+                want_state, _ = causal_conv1d_step(state, chunk[:, :commit], w, b, spec)
+                assert got_state.primed == want_state.primed
+                assert got_state.skip == want_state.skip == 0
+                np.testing.assert_array_equal(got_state.buf, want_state.buf)
+
+    def test_committed_state_streams_on_like_the_prefix(self):
+        """Peeking past the commit point never changes later outputs."""
+        rng = np.random.default_rng(12)
+        spec, w, b, x = rand_conv_case(rng)
+        spec = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel_size, dilation=2)
+        state = init_conv_state(spec)
+        outs = []
+        for start in range(0, x.shape[1], 4):
+            commit = min(4, x.shape[1] - start)
+            state, out = causal_conv1d_step(state, x[:, start : start + 7], w, b, spec, commit)
+            outs.append(out[:, :4])
+        got = np.concatenate(outs, axis=1)
+        np.testing.assert_allclose(got, causal_conv1d_offline(x, w, b, spec), atol=1e-6)
+
+    def test_stride_other_than_one_rejected(self):
+        spec = ConvSpec(1, 1, 3, stride=2)
+        w = np.ones((1, 1, 3), dtype=F32)
+        b = np.zeros(1, dtype=F32)
+        with pytest.raises(ConfigError, match="stride"):
+            causal_conv1d_step(init_conv_state(spec), np.ones((1, 4), F32), w, b, spec, 2)
+
+    def test_commit_out_of_range_rejected(self):
+        spec = ConvSpec(1, 1, 3)
+        w = np.ones((1, 1, 3), dtype=F32)
+        b = np.zeros(1, dtype=F32)
+        for commit in (-1, 5):
+            with pytest.raises(ConfigError, match="commit"):
+                causal_conv1d_step(init_conv_state(spec), np.ones((1, 4), F32), w, b, spec, commit)
+
+
+class TestTapMajor:
+    def test_equal_values_and_unit_stride_per_tap(self):
+        rng = np.random.default_rng(13)
+        for shape in [(5, 4, 3), (1, 6, 7), (6, 2, 1), (3, 3, 16)]:
+            w = rng.normal(size=shape).astype(F32)
+            t = tap_major(w)
+            assert t.shape == w.shape and t.dtype == np.float32
+            np.testing.assert_array_equal(t, w)
+            for j in range(shape[2]):
+                assert t[:, :, j].strides[1] == t.itemsize
+            assert tap_major(t) is not t and np.shares_memory(tap_major(t), t)
 
 
 class TestRequiredHistory:

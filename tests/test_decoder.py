@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from netgen import rand_decoder_weights, rand_smooth_weights
 
+from chunkvox import decoder
+from chunkvox.convs import tap_major
 from chunkvox.decoder import (
     ChunkConfig,
     DecoderStream,
@@ -110,8 +112,61 @@ class TestSmoothLayer:
         got = np.concatenate(outs, axis=0)
         np.testing.assert_allclose(got, _smooth_offline(x, w, cfg), atol=1e-6)
 
+    @pytest.mark.parametrize("hidden", [8, 192])
+    def test_one_call_matches_body_then_peek(self, hidden):
+        """One call with ``commit`` equals smoothing the body with committed
+        state and then the lookahead from a throwaway copy of it.
+
+        ``conv1`` history is raw input, so it matches bit for bit.  ``conv2``
+        history is the first norm's output, computed here in one GEMM over
+        body and lookahead instead of over the body alone; BLAS may round a
+        column differently at another width, so it is bitwise only when the
+        chunk has no lookahead.
+        """
+        rng = np.random.default_rng(2)
+        cfg = dataclasses.replace(SMALL, hidden=hidden)
+        w = rand_smooth_weights(rng, cfg)
+        x = rand_frames(rng, 23, hidden)
+        old = new = init_decoder_state(cfg).layers[0].smooth
+        for start, n, r in [(0, 5, 2), (5, 4, 2), (9, 1, 2), (10, 6, 0), (16, 5, 2), (21, 2, 0)]:
+            body, look = x[start : start + n], x[start + n : start + n + r]
+            body_out, old = causal_smooth_layer(body, old, w, cfg)
+            look_out, _ = causal_smooth_layer(look, old, w, cfg)
+            out, new = causal_smooth_layer(x[start : start + n + r], new, w, cfg, commit=n)
+            np.testing.assert_allclose(out[:n], body_out, atol=1e-6)
+            np.testing.assert_allclose(out[n:], look_out, atol=1e-6)
+            np.testing.assert_array_equal(new.conv1.buf, old.conv1.buf)
+            np.testing.assert_allclose(new.conv2.buf, old.conv2.buf, atol=5e-6)
+            if r == 0:
+                np.testing.assert_array_equal(new.conv2.buf, old.conv2.buf)
+
 
 class TestFullAttentionOracle:
+    def test_tap_major_smoothing_kernels_are_bitwise_neutral(self):
+        """Tap-major kernels change memory layout, not the per-tap sums.
+
+        Inputs have at least two frames: a one-column product goes to BLAS
+        gemv from a tap-major kernel but through numpy's own loop from a
+        strided one, and those round differently.
+        """
+        rng = np.random.default_rng(3)
+        cfg = dataclasses.replace(SMALL, hidden=192, ffn_hidden=64)
+        c_order = rand_decoder_weights(rng, cfg)
+        tapped = [
+            dataclasses.replace(
+                w,
+                smooth=dataclasses.replace(
+                    w.smooth, conv1_w=tap_major(w.smooth.conv1_w), conv2_w=tap_major(w.smooth.conv2_w)
+                ),
+            )
+            for w in c_order
+        ]
+        for t in (2, 7, 40):
+            x = rand_frames(rng, t, cfg.hidden)
+            np.testing.assert_array_equal(
+                full_attention_oracle(x, cfg, tapped), full_attention_oracle(x, cfg, c_order)
+            )
+
     def test_single_frame_is_identity_weighted(self):
         """With one frame the softmax is a singleton, so attention returns
         that frame's value projection (manual closed form)."""
@@ -257,6 +312,37 @@ class TestStreamingBehavior:
             stream.push(rand_frames(rng, 1, SMALL.hidden))
         with pytest.raises(SequencingError):
             stream.finish()
+
+    def test_failed_chunk_poisons_the_stream(self, monkeypatch):
+        """A chunk that raises partway through the stack leaves the earlier
+        layers' caches advanced; every later call must refuse the stream."""
+        rng = np.random.default_rng(12)
+        cfg = dataclasses.replace(SMALL, num_layers=3)
+        w = rand_decoder_weights(rng, cfg)
+        real = decoder.chunk_attention_layer
+        chunk = 0
+
+        def failing(body, lookahead, state, layer, lw, lcfg):
+            nonlocal chunk
+            chunk += layer == 0
+            if chunk == 2 and layer == 2:
+                raise ShapeError("injected failure in layer 2")
+            return real(body, lookahead, state, layer, lw, lcfg)
+
+        monkeypatch.setattr(decoder, "chunk_attention_layer", failing)
+        stream = DecoderStream(cfg, w)
+        with pytest.raises(ShapeError, match="injected"):
+            stream.feed(rand_frames(rng, 20, cfg.hidden))
+        assert chunk == 2
+        calls = [
+            lambda: stream.push(rand_frames(rng, 1, cfg.hidden)),
+            stream.pop_chunk,
+            lambda: stream.feed(rand_frames(rng, 1, cfg.hidden)),
+            stream.finish,
+        ]
+        for call in calls:
+            with pytest.raises(SequencingError, match="ShapeError: injected failure in layer 2"):
+                call()
 
     def test_bad_frame_width_rejected(self):
         rng = np.random.default_rng(11)

@@ -138,6 +138,13 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match="duplicate"):
             load_weights(path)
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path = str(tmp_path / "w.cssw")
+        save_weights(path, {"a": np.ones((2, 3), dtype=np.float32), "b": np.ones(4, np.float32)})
+        for arr in load_weights(path).values():
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
     def test_values_stored_little_endian_float32(self, tmp_path):
         path = str(tmp_path / "w.cssw")
         save_weights(path, {"x": np.array([1.0], dtype=np.float32)})
@@ -302,6 +309,23 @@ class TestManifestAndBundle:
         assert build_bundle(cfg, tensors).generator.pad_mode == "replicate"
         cfg2 = tiny_config(flags=ModeFlags(natural_padding=False))
         assert build_bundle(cfg2, tensors).generator.pad_mode == "constant"
+
+    def test_every_conv_kernel_is_tap_major(self, tmp_path):
+        """Each per-tap matrix ``w[:, :, j]`` has unit inner stride."""
+        cfg = tiny_config()
+        cpath, wpath = str(tmp_path / "config.json"), str(tmp_path / "weights.cssw")
+        save_config(cpath, cfg)
+        save_weights(wpath, make_random_tensors(cfg, seed=3))
+        bundle = load_model(cpath, wpath)
+        kernels = [node.w for node in bundle.generator._nodes]
+        kernels += [w for w, _, _, _ in bundle.posterior.weights.layers]
+        kernels.append(bundle.posterior.weights.out_w)
+        for lw in bundle.decoder_weights:
+            kernels += [lw.smooth.conv1_w, lw.smooth.conv2_w]
+        for w in kernels:
+            assert w.ndim == 3 and w.dtype == np.float32
+            for j in range(w.shape[2]):
+                assert w[:, :, j].strides[1] == w.itemsize
 
     def test_decoder_weights_pass_shape_check(self):
         cfg = tiny_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from netgen import random_chunking
 
+from chunkvox.convs import tap_major
 from chunkvox.errors import ConfigError, ShapeError
 from chunkvox.vocoder import Generator, GeneratorConfig, generator_tensor_shapes
 
@@ -66,6 +67,22 @@ class TestBuild:
             Generator(SMALL, tensors)
         msg = str(err.value)
         assert "generator.post.bias" in msg and "generator.pre.weight" in msg
+
+    def test_tap_major_kernels_are_bitwise_neutral(self):
+        """Tap-major kernels change memory layout, not the per-tap sums.
+
+        Every conv here multiplies at least two columns: a one-column
+        product goes to BLAS gemv from a tap-major kernel but through
+        numpy's own loop from a strided one, and those round differently.
+        """
+        rng = np.random.default_rng(2)
+        tensors = rand_tensors(rng, SMALL)
+        tapped = {k: tap_major(v) if v.ndim == 3 else v for k, v in tensors.items()}
+        for frames in (2, 9):
+            z = rand_latents(rng, SMALL, frames)
+            np.testing.assert_array_equal(
+                Generator(SMALL, tapped).offline(z), Generator(SMALL, tensors).offline(z)
+            )
 
     def test_bad_pad_mode_rejected(self):
         rng = np.random.default_rng(1)
