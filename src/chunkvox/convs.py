@@ -23,9 +23,11 @@ all, real preceding frames are prepended to the slice instead, and every
 transposed layer trims ``stride`` columns from both ends of its raw output.
 ``natural_pad_forward`` implements that whole-network discipline.
 
-Streaming evaluation (``*_step``) feeds arbitrary chunk splits through a
-small carried state and reproduces the offline result up to float
-associativity.
+Streaming evaluation (``*_step``) feeds arbitrary chunk splits through one
+rule for both layer types: the carried state is the tail of the padded input
+seen so far, each chunk reruns the layer over ``[history; chunk]``, and the
+output columns the chunk completes are emitted.  Concatenated outputs equal
+the offline result up to float associativity.
 """
 
 from __future__ import annotations
@@ -90,22 +92,19 @@ def left_context(spec: ConvSpec) -> int:
 
 @dataclass(frozen=True)
 class ConvState:
-    """Carried streaming state for one layer.
+    """Carried streaming state for one layer: the input history.
 
-    ``buf`` holds input frames that have not yet been fully consumed
-    (including any materialized left padding).  Transposed layers also carry
-    ``carry`` (raw overlap-add columns that the next chunk will finish),
-    ``fifo`` (finalized output columns not yet emitted), and the remaining
-    head trim.  States are immutable; ``*_step`` returns an updated copy, so
-    distinct states never alias each other's progress.
+    ``buf`` is the tail of the padded input fed so far, or ``None`` before a
+    stream's first frame.  A stride-1 plain layer keeps ``left_context``
+    frames; a transposed layer keeps at most ``max(pad - 1, 0) + (kernel_size
+    - 1) // stride`` frames, the ones its unfinished output columns still
+    need.  ``skip`` counts input frames a strided plain layer still owes its
+    last output hop.  States are immutable; ``*_step`` returns an updated
+    copy, so distinct states never alias each other's progress.
     """
 
-    buf: np.ndarray
-    primed: bool
+    buf: np.ndarray | None = None
     skip: int = 0
-    carry: np.ndarray | None = None
-    fifo: np.ndarray | None = None
-    left_trim: int = 0
 
 
 def tap_major(w: np.ndarray) -> np.ndarray:
@@ -131,7 +130,8 @@ def _check_input(spec: ConvSpec, x: np.ndarray) -> None:
 def _pad_left(x: np.ndarray, pad: int, spec: ConvSpec) -> np.ndarray:
     if pad == 0:
         return x
-    if spec.pad_mode == "replicate":
+    if spec.pad_mode != "constant":
+        # ``natural`` layers replicate too, at the absolute start of a stream.
         if x.shape[1] == 0:
             raise ShapeError("cannot replicate-pad an empty sequence")
         fill = np.repeat(x[:, :1], pad, axis=1)
@@ -227,29 +227,19 @@ def causal_tconv1d_offline(
 
 
 def init_conv_state(spec: ConvSpec) -> ConvState:
-    """Fresh streaming state for one layer.
+    """Fresh streaming state for ``spec``: no history yet.
 
-    ``constant`` padding is materialized immediately; ``replicate`` (and
-    ``natural``, which falls back to replication at a stream's absolute
-    start) defers until the first frame arrives.
+    The left pad is materialized with the stream's first frame, so every pad
+    mode, and both layer types, start the same way.
     """
-    pad = left_context(spec)
-    if spec.pad_mode == "constant":
-        buf = np.full((spec.in_channels, pad), spec.pad_value, dtype=DTYPE)
-        primed = True
-    else:
-        buf = np.zeros((spec.in_channels, 0), dtype=DTYPE)
-        primed = pad == 0
-    if not spec.transposed:
-        return ConvState(buf=buf, primed=primed)
-    k, s = spec.kernel_size, spec.stride
-    return ConvState(
-        buf=buf,
-        primed=primed,
-        carry=np.zeros((spec.out_channels, k - s), dtype=DTYPE),
-        fifo=np.zeros((spec.out_channels, 0), dtype=DTYPE),
-        left_trim=s if pad > 0 else 0,
-    )
+    return ConvState()
+
+
+def _extend(state: ConvState, chunk: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The carried history followed by ``chunk``; a stream's first chunk is left-padded."""
+    if state.buf is None:
+        return _pad_left(chunk, left_context(spec), spec)
+    return np.concatenate([state.buf, chunk], axis=1)
 
 
 def causal_conv1d_step(
@@ -285,31 +275,26 @@ def causal_conv1d_step(
             raise ConfigError(f"commit {commit} outside [0, {chunk.shape[1]}]")
     if chunk.shape[1] == 0:
         return state, np.zeros((spec.out_channels, 0), dtype=DTYPE)
-    buf, primed, skip = state.buf, state.primed, state.skip
-    if not primed:
-        buf = np.repeat(chunk[:, :1], left_context(spec), axis=1)
-        primed = True
+    skip = state.skip
     if skip:
         # Frames still owed to a previous output hop (stride > chunk sizes).
         drop = min(skip, chunk.shape[1])
         chunk = chunk[:, drop:]
         skip -= drop
         if chunk.shape[1] == 0:
-            return ConvState(buf=buf, primed=primed, skip=skip), np.zeros(
+            return ConvState(buf=state.buf, skip=skip), np.zeros(
                 (spec.out_channels, 0), dtype=DTYPE
             )
-    buf = np.concatenate([buf, chunk], axis=1)
-    out = _conv_valid(buf, w, b, spec)
+    x = _extend(state, chunk, spec)
+    out = _conv_valid(x, w, b, spec)
     if commit is not None:
         if commit == 0:
             return state, out
-        # At stride 1 the primed history is exactly left_context frames.
-        return ConvState(buf=buf[:, commit : commit + left_context(spec)], primed=True), out
+        # At stride 1 the history is exactly left_context frames.
+        return ConvState(buf=x[:, commit : commit + left_context(spec)]), out
     owed = out.shape[1] * spec.stride
-    drop = min(owed, buf.shape[1])
-    buf = buf[:, drop:]
-    skip += owed - drop
-    return ConvState(buf=buf, primed=primed, skip=skip), out
+    drop = min(owed, x.shape[1])
+    return ConvState(buf=x[:, drop:], skip=skip + owed - drop), out
 
 
 def causal_tconv1d_step(
@@ -317,10 +302,11 @@ def causal_tconv1d_step(
 ) -> tuple[ConvState, np.ndarray]:
     """Feed one chunk through a causal transposed layer.
 
-    Emits exactly ``stride`` output columns per input frame; the raw
-    overlap-add tail that later frames would still touch rides along in the
-    state, so concatenated streaming output equals the offline result up to
-    float associativity.
+    Reruns the overlap-add over ``[history; chunk]`` and emits the ``stride``
+    columns of each new frame.  Those columns read at most ``max(pad - 1, 0)
+    + (kernel_size - 1) // stride`` earlier padded input frames, which the
+    state keeps, so concatenated streaming output equals the offline result
+    up to float associativity.
     """
     if not spec.transposed:
         raise ConfigError("causal_tconv1d_step called with a non-transposed spec")
@@ -329,36 +315,15 @@ def causal_tconv1d_step(
     n = chunk.shape[1]
     if n == 0:
         return state, np.zeros((spec.out_channels, 0), dtype=DTYPE)
-    k, s = spec.kernel_size, spec.stride
-    x, primed = chunk, state.primed
-    if not primed:
-        x = np.concatenate([np.repeat(chunk[:, :1], left_context(spec), axis=1), x], axis=1)
-        primed = True
-    elif state.buf.shape[1]:
-        # Constant-mode pad frames queued by init_conv_state join the first chunk.
-        x = np.concatenate([state.buf, x], axis=1)
-    m = x.shape[1]
-    raw = _tconv_raw(x, w, spec)
-    carry = state.carry
-    assert carry is not None and state.fifo is not None
-    if carry.shape[1]:
-        raw[:, : carry.shape[1]] += carry
-    final, carry = raw[:, : m * s], raw[:, m * s :].copy()
-    trim = min(state.left_trim, final.shape[1])
-    final = final[:, trim:]
-    fifo = np.concatenate([state.fifo, final + b[:, None]], axis=1)
-    want = n * s
-    if fifo.shape[1] < want:
-        raise ShapeError("transposed stream fell behind its emission schedule")
-    out, fifo = fifo[:, :want], fifo[:, want:]
-    next_state = ConvState(
-        buf=np.zeros((spec.in_channels, 0), dtype=DTYPE),
-        primed=primed,
-        carry=carry,
-        fifo=fifo,
-        left_trim=state.left_trim - trim,
-    )
-    return next_state, out
+    s = spec.stride
+    # Frame i of x owns raw block i - shift: the offline path pads ``pad`` frames
+    # and trims one block of ``stride`` columns from the head.
+    shift = max(left_context(spec) - 1, 0)
+    x = _extend(state, chunk, spec)
+    h = x.shape[1] - n - shift
+    out = _tconv_raw(x, w, spec)[:, h * s : (h + n) * s] + b[:, None]
+    keep = shift + (spec.kernel_size - 1) // s
+    return ConvState(buf=x[:, max(x.shape[1] - keep, 0) :]), out
 
 
 def conv_step(

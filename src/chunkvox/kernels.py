@@ -77,12 +77,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     ``-inf`` entries act as masks and map to exactly 0.0 in the output.
 
     Raises:
-        DomainError: If every entry along ``axis`` is masked for some slice
-            (the distribution would be undefined).
+        DomainError: If a slice along ``axis`` holds NaN or ``+inf``, or has
+            every entry masked (the distribution would be undefined).
     """
     x = np.asarray(x, dtype=DTYPE)
     peak = np.max(x, axis=axis, keepdims=True)
     if not np.all(np.isfinite(peak)):
+        # np.max propagates NaN, so a NaN row is told apart from a masked one here.
+        if np.isnan(peak).any():
+            raise DomainError("softmax: a row holds NaN")
+        if np.isposinf(peak).any():
+            raise DomainError("softmax: a row holds +inf")
         raise DomainError("softmax: a row has every position masked")
     z = np.exp(x - peak)
     return z / np.sum(z, axis=axis, keepdims=True)

@@ -96,9 +96,12 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
         # Tensor data fits in the rest of the file; packed float32 views stay aligned.
         arena = np.empty(left // 4, dtype="<f4")
         used = 0
-        for _ in range(count):
+        for index in range(count):
             (name_len,) = unpack("<H", "name length")
-            name = read(name_len, "name").decode("utf-8")
+            try:
+                name = read(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"name of tensor {index} is not valid UTF-8: {exc.reason}") from exc
             (ndim,) = unpack("<B", "rank")
             dims = unpack(f"<{ndim}I", "dims")
             what = f"data of {name!r}"

@@ -96,6 +96,18 @@ class TestSoftmax:
         with pytest.raises(DomainError):
             softmax(x)
 
+    def test_error_names_nan_apart_from_masking(self):
+        x = np.zeros((3, 3), dtype=np.float32)
+        x[0] = -np.inf
+        with pytest.raises(DomainError, match="every position masked"):
+            softmax(x)
+        x[2, 1] = np.nan
+        with pytest.raises(DomainError, match="holds NaN"):
+            softmax(x)
+        x[2, 1] = np.inf
+        with pytest.raises(DomainError, match=r"holds \+inf"):
+            softmax(x)
+
 
 class TestActivations:
     def test_leaky_relu_slope(self):

@@ -1,10 +1,12 @@
 """Weight container, config schema, and bundle assembly tests."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chunkvox.cli import main as cli_main
 from chunkvox.decoder import ChunkConfig
 from chunkvox.dsp import MelConfig
 from chunkvox.errors import ConfigError, FormatError
@@ -137,6 +139,30 @@ class TestWeightContainer:
         Path(path).write_bytes(blob)
         with pytest.raises(FormatError, match="duplicate"):
             load_weights(path)
+
+    def test_non_utf8_name_rejected_naming_the_tensor(self, tmp_path):
+        path = str(tmp_path / "w.cssw")
+        save_weights(path, {"a": np.ones(1, np.float32), "bb": np.ones(2, np.float32)})
+        raw = Path(path).read_bytes()
+        at = raw.index(b"bb")
+        Path(path).write_bytes(raw[:at] + b"\xffb" + raw[at + 2 :])
+        with pytest.raises(FormatError, match="tensor 1 is not valid UTF-8"):
+            load_weights(path)
+
+    def test_non_utf8_name_is_a_cli_error(self, tmp_path, capsys):
+        cfg = tiny_config()
+        cpath = str(tmp_path / "config.json")
+        wpath = str(tmp_path / "weights.cssw")
+        save_config(cpath, cfg)
+        tensors = make_random_model(cfg, seed=7)
+        save_weights(wpath, tensors)
+        first = next(iter(tensors)).encode()
+        raw = Path(wpath).read_bytes()
+        Path(wpath).write_bytes(raw.replace(first, b"\xff" + first[1:], 1))
+        assert cli_main(["verify", "--config", cpath, "--weights", wpath]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "FormatError"
+        assert "tensor 0" in err["error"]["message"]
 
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path = str(tmp_path / "w.cssw")
