@@ -147,9 +147,9 @@ def _conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSp
     if n < span:
         return np.zeros((spec.out_channels, 0), dtype=DTYPE)
     n_out = (n - span) // spec.stride + 1
-    acc = np.zeros((spec.out_channels, n_out), dtype=DTYPE)
     stop = spec.stride * (n_out - 1) + 1
-    for j in range(spec.kernel_size):
+    acc = w[:, :, 0] @ x[:, :stop : spec.stride]
+    for j in range(1, spec.kernel_size):
         off = j * spec.dilation
         acc += w[:, :, j] @ x[:, off : off + stop : spec.stride]
     if b is not None:
@@ -162,12 +162,21 @@ def _tconv_raw(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
     Output column ``i * stride + j`` accumulates ``w[:, :, j] @ x[:, i]``;
     length is ``(m - 1) * stride + kernel_size`` for ``m`` input frames.
+    Taps ``j < stride`` write the disjoint columns ``j, j + stride, ...``,
+    which cover ``[0, m * stride)``, so they assign; only the tail past
+    ``m * stride`` starts at zero, and the later taps add (``kernel_size >=
+    stride``, as :class:`ConvSpec` enforces).
     """
     m = x.shape[1]
     k, s = spec.kernel_size, spec.stride
-    raw = np.zeros((spec.out_channels, (m - 1) * s + k), dtype=DTYPE)
+    raw = np.empty((spec.out_channels, (m - 1) * s + k), dtype=DTYPE)
+    raw[:, m * s :] = 0
     for j in range(k):
-        raw[:, j : j + (m - 1) * s + 1 : s] += w[:, :, j] @ x
+        cols = slice(j, j + (m - 1) * s + 1, s)
+        if j < s:
+            raw[:, cols] = w[:, :, j] @ x
+        else:
+            raw[:, cols] += w[:, :, j] @ x
     return raw
 
 

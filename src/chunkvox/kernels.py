@@ -98,8 +98,18 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def leaky_relu(x: np.ndarray, alpha: float = 0.1) -> np.ndarray:
-    """Leaky rectifier with negative-side slope ``alpha``."""
-    return np.where(x >= 0, x, DTYPE(alpha) * x)
+    """Leaky rectifier with negative-side slope ``alpha``, ``0 < alpha <= 1``.
+
+    Computed as ``max(x, alpha * x)``: one compare pass and no mask.  In that
+    range it equals ``where(x >= 0, x, alpha * x)`` bit for bit, -0.0, +-inf
+    and NaN included.  ``alpha = 0`` is outside it because ``0 * inf`` is NaN.
+
+    Raises:
+        DomainError: If ``alpha`` is outside ``(0, 1]``.
+    """
+    if not 0 < alpha <= 1:
+        raise DomainError(f"leaky_relu slope {alpha} outside (0, 1]")
+    return np.maximum(x, DTYPE(alpha) * x)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

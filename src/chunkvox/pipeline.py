@@ -174,17 +174,29 @@ def _chunk_loop(
     gen = bundle.generator
     step = bundle.config.chunk.chunk_size
     state = None if mode == "parallel" else gen.create_state()
-    done = 0
+    done = index = 0
     for decoded in _decoded_blocks(frames, bundle, mode):
         mu, sigma = _prior_split(decoded, bundle)
         z = (mu + sigma * eps[done : done + decoded.shape[0]]).T
         done += decoded.shape[0]
         if mode == "parallel":
-            yield gen.offline(z)
+            yield _finite(gen.offline(z), index)
+            index += 1
         else:
             for lo in range(0, z.shape[1], step):
                 state, audio = gen.stream(state, z[:, lo : lo + step])
-                yield audio
+                yield _finite(audio, index)
+                index += 1
+
+
+def _finite(audio: np.ndarray, index: int) -> np.ndarray:
+    """``audio``, once every sample of it is known to be finite."""
+    if not np.isfinite(audio).all():
+        first = int(np.argmin(np.isfinite(audio)))
+        raise DomainError(
+            f"audio chunk {index} holds a non-finite sample: {audio[first]} at sample {first}"
+        )
+    return audio
 
 
 def synth(

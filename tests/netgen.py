@@ -151,13 +151,20 @@ def naive_causal_tconv(x, w, b, spec):
         xp = np.concatenate([fill, x], axis=1)
     else:
         xp = x
-    m = xp.shape[1]
-    raw = np.zeros((cout, (m - 1) * s + k), dtype=F32)
-    for i in range(m):
-        for j in range(k):
-            raw[:, i * s + j] += w[:, :, j] @ xp[:, i]
+    raw = naive_tconv_raw(xp, w, s)
     head = s if pad else 0
     return raw[:, head : head + length * s] + b[:, None]
+
+
+def naive_tconv_raw(x, w, stride):
+    """Per-frame overlap-add of a transposed convolution: no pad, trim or bias."""
+    cout, _, k = w.shape
+    m = x.shape[1]
+    raw = np.zeros((cout, (m - 1) * stride + k), dtype=F32)
+    for i in range(m):
+        for j in range(k):
+            raw[:, i * stride + j] += w[:, :, j] @ x[:, i]
+    return raw
 
 
 def rand_natural_net(rng, channels, n_layers=None):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from netgen import (
     naive_causal_conv,
     naive_causal_tconv,
+    naive_tconv_raw,
     rand_conv_case,
     rand_natural_net,
     random_chunking,
@@ -16,6 +17,7 @@ from netgen import (
 
 from chunkvox.convs import (
     ConvSpec,
+    _tconv_raw,
     causal_conv1d_offline,
     causal_conv1d_step,
     causal_tconv1d_offline,
@@ -435,6 +437,63 @@ class TestTapMajor:
             for j in range(shape[2]):
                 assert t[:, :, j].strides[1] == t.itemsize
             assert tap_major(t) is not t and np.shares_memory(tap_major(t), t)
+
+
+def free_nan_block(shape):
+    """Allocate and free a NaN block, so a following ``np.empty`` of that size
+    most likely gets the same memory back, and an unwritten column reads NaN."""
+    block = np.full(shape, np.nan, dtype=F32)
+    del block
+
+
+class TestNoUninitialisedReads:
+    """Conv accumulators assign their first taps into fresh memory."""
+
+    GRID = [
+        (k, s, m)
+        for s in (1, 2, 4)
+        for k in sorted({s, s + 1, 2 * s, 3 * s})
+        for m in (1, 2, 5)
+    ]
+
+    @pytest.mark.parametrize("pad_mode", ["constant", "replicate"])
+    def test_tconv_offline_matches_naive(self, pad_mode):
+        rng = np.random.default_rng(31)
+        for k, s, m in self.GRID:
+            spec = ConvSpec(3, 2, k, stride=s, transposed=True, pad_mode=pad_mode)
+            w = rng.normal(size=(2, 3, k)).astype(F32)
+            b = rng.normal(size=2).astype(F32)
+            x = rng.normal(size=(3, m)).astype(F32)
+            free_nan_block((2, (m + left_context(spec) - 1) * s + k))
+            got = causal_tconv1d_offline(x, w, b, spec)
+            assert np.isfinite(got).all(), (k, s, m)
+            np.testing.assert_allclose(got, naive_causal_tconv(x, w, b, spec), atol=1e-5)
+
+    def test_tconv_raw_tail_matches_naive(self):
+        """Offline and streaming trims never read the raw tail; natural mode does."""
+        rng = np.random.default_rng(32)
+        for k, s, m in self.GRID:
+            spec = ConvSpec(3, 2, k, stride=s, transposed=True)
+            w = rng.normal(size=(2, 3, k)).astype(F32)
+            x = rng.normal(size=(3, m)).astype(F32)
+            free_nan_block((2, (m - 1) * s + k))
+            got = _tconv_raw(x, w, spec)
+            assert np.isfinite(got).all(), (k, s, m)
+            np.testing.assert_allclose(got, naive_tconv_raw(x, w, s), atol=1e-5)
+
+    @pytest.mark.parametrize("pad_mode", ["constant", "replicate"])
+    def test_single_tap_conv_matches_naive(self, pad_mode):
+        rng = np.random.default_rng(33)
+        for stride in (1, 2, 3):
+            for length in (1, 2, 7):
+                spec = ConvSpec(3, 2, 1, stride=stride, pad_mode=pad_mode)
+                w = rng.normal(size=(2, 3, 1)).astype(F32)
+                b = rng.normal(size=2).astype(F32)
+                x = rng.normal(size=(3, length)).astype(F32)
+                free_nan_block((2, (length - 1) // stride + 1))
+                got = causal_conv1d_offline(x, w, b, spec)
+                assert np.isfinite(got).all(), (stride, length)
+                np.testing.assert_allclose(got, naive_causal_conv(x, w, b, spec), atol=1e-6)
 
 
 class TestRequiredHistory:

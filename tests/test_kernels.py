@@ -123,3 +123,23 @@ class TestActivations:
         x = np.array([-1.0, 1.0], dtype=np.float32)
         for fn in (relu, leaky_relu, tanh):
             assert fn(x).dtype == np.float32
+
+
+class TestLeakyRelu:
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45], dtype=np.float32)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0])
+    def test_bitwise_equal_to_the_masked_form(self, alpha):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([rng.normal(scale=10.0, size=4096).astype(np.float32), self.SPECIAL])
+        before = x.tobytes()
+        got = leaky_relu(x, alpha)
+        want = np.where(x >= 0, x, np.float32(alpha) * x)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, math.nan])
+    def test_slope_outside_the_unit_interval_raises(self, alpha):
+        with pytest.raises(DomainError, match="slope"):
+            leaky_relu(self.SPECIAL, alpha)

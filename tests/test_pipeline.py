@@ -197,6 +197,46 @@ class TestSynthChunks:
             synth_chunks(sung_score(10), bundle, "offline")
 
 
+class TestNonFiniteAudio:
+    """A chunk that holds a non-finite sample raises instead of being emitted."""
+
+    @pytest.fixture(scope="class")
+    def nan_bundle(self):
+        cfg = tiny_config()
+        tensors = make_random_tensors(cfg, seed=42)
+        tensors["generator.post.bias"] = np.full(1, np.nan, dtype=np.float32)
+        return build_bundle(cfg, tensors)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_synth_raises_on_the_first_chunk(self, nan_bundle, mode):
+        want = "audio chunk 0 holds a non-finite sample: nan at sample 0"
+        with pytest.raises(DomainError, match=want):
+            synth(sung_score(23), nan_bundle, mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_synth_chunks_raises_before_yielding(self, nan_bundle, mode):
+        chunks = synth_chunks(sung_score(23), nan_bundle, mode)
+        with pytest.raises(DomainError, match="audio chunk 0"):
+            next(chunks)
+
+    def test_names_a_later_chunk_and_its_first_bad_sample(self, bundle, monkeypatch):
+        stream, calls = bundle.generator.stream, []
+
+        def poisoned(state, z):
+            state, audio = stream(state, z)
+            calls.append(z.shape[1])
+            if len(calls) == 3:
+                audio = audio.copy()
+                audio[5:] = np.inf
+            return state, audio
+
+        monkeypatch.setattr(bundle.generator, "stream", poisoned)
+        want = "audio chunk 2 holds a non-finite sample: inf at sample 5"
+        with pytest.raises(DomainError, match=want):
+            synth(sung_score(23), bundle, mode="full")
+        assert len(calls) == 3
+
+
 class TestStreamMetrics:
     def test_rejects_latency_after_end(self):
         with pytest.raises(DomainError):
