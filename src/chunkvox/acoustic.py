@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convs import ConvSpec, ConvState, causal_conv1d_offline, causal_conv1d_step, init_conv_state
+from .convs import (
+    ConvSpec,
+    ConvState,
+    _conv_valid,
+    causal_conv1d_offline,
+    causal_conv1d_step,
+    init_conv_state,
+)
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .kernels import DTYPE, layer_norm, relu
 
@@ -239,16 +246,6 @@ def acoustic_channels(mcep: np.ndarray, f0: np.ndarray) -> np.ndarray:
     )
 
 
-def _centered_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, kernel: int) -> np.ndarray:
-    """Same-length symmetric-pad convolution for the non-causal encoder."""
-    half = (kernel - 1) // 2
-    xp = np.pad(x, ((0, 0), (half, half)))
-    acc = np.zeros((w.shape[0], x.shape[1]), dtype=DTYPE)
-    for j in range(kernel):
-        acc += w[:, :, j] @ xp[:, j : j + x.shape[1]]
-    return acc + b[:, None]
-
-
 class PosteriorEncoder:
     """Reference encoder producing per-frame posterior Gaussians.
 
@@ -286,11 +283,12 @@ class PosteriorEncoder:
         if feats.ndim != 2 or feats.shape[0] != cfg.in_channels:
             raise ShapeError(f"features {feats.shape} do not match [{cfg.in_channels}, frames]")
         x = feats.astype(DTYPE, copy=False)
+        half = (cfg.kernel_size - 1) // 2
         for spec, (w, b, gamma, beta) in zip(self._conv_specs(), self.weights.layers):
             if self.causal:
                 x = causal_conv1d_offline(x, w, b, spec)
             else:
-                x = _centered_conv(x, w, b, cfg.kernel_size)
+                x = _conv_valid(np.pad(x, ((0, 0), (half, half))), w, b, spec)
             x = relu(layer_norm(x.T, gamma, beta)).T
         head = self.weights.out_w[:, :, 0] @ x + self.weights.out_b[:, None]
         return self._split(head)

@@ -95,10 +95,11 @@ class ConvState:
     """Carried streaming state for one layer: the input history.
 
     ``buf`` is the tail of the padded input fed so far, or ``None`` before a
-    stream's first frame.  A stride-1 plain layer keeps ``left_context``
-    frames; a transposed layer keeps at most ``max(pad - 1, 0) + (kernel_size
-    - 1) // stride`` frames, the ones its unfinished output columns still
-    need.  ``skip`` counts input frames a strided plain layer still owes its
+    stream's first frame.  It is a copy, so a caller that reuses its chunk
+    buffer cannot rewrite it, and it pins no more than the tail.  A stride-1
+    plain layer keeps ``left_context`` frames; a transposed layer keeps at
+    most ``max(pad - 1, 0) + (kernel_size - 1) // stride`` frames, the ones
+    its unfinished output columns still need.  ``skip`` counts input frames a strided plain layer still owes its
     last output hop.  States are immutable; ``*_step`` returns an updated
     copy, so distinct states never alias each other's progress.
     """
@@ -300,10 +301,10 @@ def causal_conv1d_step(
         if commit == 0:
             return state, out
         # At stride 1 the history is exactly left_context frames.
-        return ConvState(buf=x[:, commit : commit + left_context(spec)]), out
+        return ConvState(buf=x[:, commit : commit + left_context(spec)].copy()), out
     owed = out.shape[1] * spec.stride
     drop = min(owed, x.shape[1])
-    return ConvState(buf=x[:, drop:], skip=skip + owed - drop), out
+    return ConvState(buf=x[:, drop:].copy(), skip=skip + owed - drop), out
 
 
 def causal_tconv1d_step(
@@ -332,7 +333,7 @@ def causal_tconv1d_step(
     h = x.shape[1] - n - shift
     out = _tconv_raw(x, w, spec)[:, h * s : (h + n) * s] + b[:, None]
     keep = shift + (spec.kernel_size - 1) // s
-    return ConvState(buf=x[:, max(x.shape[1] - keep, 0) :]), out
+    return ConvState(buf=x[:, max(x.shape[1] - keep, 0) :].copy()), out
 
 
 def conv_step(

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -188,12 +188,40 @@ def default_config() -> ModelConfig:
     )
 
 
-def _section(obj: dict, name: str, keys: tuple[str, ...]) -> dict:
+# The config file's sections in file order.  Each section's keys are its
+# class's fields in declaration order, except chunk.use_smooth, which mirrors
+# flags.smooth_layer and is not stored.
+_SECTIONS = {
+    "flags": ModeFlags,
+    "frontend": FrontendConfig,
+    "chunk": ChunkConfig,
+    "generator": GeneratorConfig,
+    "posterior": PosteriorConfig,
+    "mel": MelConfig,
+}
+_KEYS = {
+    name: tuple(f.name for f in fields(cls) if (name, f.name) != ("chunk", "use_smooth"))
+    for name, cls in _SECTIONS.items()
+}
+
+
+def _as_json(value):
+    """Tuples, nested or not, as JSON lists."""
+    return [_as_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _from_json(value):
+    """JSON lists, nested or not, as the tuples the config classes hold."""
+    return tuple(_from_json(v) for v in value) if isinstance(value, list) else value
+
+
+def _section(obj: dict, name: str) -> dict:
     if name not in obj:
         raise FormatError(f"config missing section {name!r}")
     section = obj[name]
     if not isinstance(section, dict):
         raise FormatError(f"config section {name!r} is not an object")
+    keys = _KEYS[name]
     missing = [k for k in keys if k not in section]
     unknown = [k for k in section if k not in keys]
     if missing or unknown:
@@ -204,59 +232,11 @@ def _section(obj: dict, name: str, keys: tuple[str, ...]) -> dict:
 
 
 def config_to_json(cfg: ModelConfig) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "flags": {
-            "causal_posterior": cfg.flags.causal_posterior,
-            "natural_padding": cfg.flags.natural_padding,
-            "smooth_layer": cfg.flags.smooth_layer,
-        },
-        "frontend": {
-            "phoneme_vocab": cfg.frontend.phoneme_vocab,
-            "note_vocab": cfg.frontend.note_vocab,
-        },
-        "chunk": {
-            "chunk_size": cfg.chunk.chunk_size,
-            "left_context": cfg.chunk.left_context,
-            "right_context": cfg.chunk.right_context,
-            "num_layers": cfg.chunk.num_layers,
-            "hidden": cfg.chunk.hidden,
-            "ffn_hidden": cfg.chunk.ffn_hidden,
-            "num_heads": cfg.chunk.num_heads,
-            "memory_slots": cfg.chunk.memory_slots,
-            "smooth_kernel": cfg.chunk.smooth_kernel,
-        },
-        "generator": {
-            "latent_dim": cfg.generator.latent_dim,
-            "base_channels": cfg.generator.base_channels,
-            "upsample_strides": list(cfg.generator.upsample_strides),
-            "upsample_kernels": (
-                None
-                if cfg.generator.upsample_kernels is None
-                else list(cfg.generator.upsample_kernels)
-            ),
-            "resblock_kernel_sizes": list(cfg.generator.resblock_kernel_sizes),
-            "resblock_dilations": [list(d) for d in cfg.generator.resblock_dilations],
-            "io_kernel": cfg.generator.io_kernel,
-        },
-        "posterior": {
-            "mcep_dim": cfg.posterior.mcep_dim,
-            "hidden_channels": cfg.posterior.hidden_channels,
-            "num_layers": cfg.posterior.num_layers,
-            "kernel_size": cfg.posterior.kernel_size,
-            "latent_dim": cfg.posterior.latent_dim,
-        },
-        "mel": {
-            "sample_rate": cfg.mel.sample_rate,
-            "n_fft": cfg.mel.n_fft,
-            "hop": cfg.mel.hop,
-            "win_length": cfg.mel.win_length,
-            "n_mels": cfg.mel.n_mels,
-            "fmin": cfg.mel.fmin,
-            "fmax": cfg.mel.fmax,
-            "log_floor": cfg.mel.log_floor,
-        },
-    }
+    obj: dict = {"version": CONFIG_VERSION}
+    for name, keys in _KEYS.items():
+        section = getattr(cfg, name)
+        obj[name] = {key: _as_json(getattr(section, key)) for key in keys}
+    return obj
 
 
 def config_from_json(obj: dict) -> ModelConfig:
@@ -265,70 +245,18 @@ def config_from_json(obj: dict) -> ModelConfig:
     version = obj.get("version")
     if version != CONFIG_VERSION:
         raise FormatError(f"unsupported config version {version!r}")
-    known = ("version", "flags", "frontend", "chunk", "generator", "posterior", "mel")
-    unknown = [k for k in obj if k not in known]
+    unknown = [k for k in obj if k != "version" and k not in _SECTIONS]
     if unknown:
         raise FormatError(f"unknown config sections {unknown}")
-    flags_j = _section(obj, "flags", ("causal_posterior", "natural_padding", "smooth_layer"))
-    front_j = _section(obj, "frontend", ("phoneme_vocab", "note_vocab"))
-    chunk_j = _section(
-        obj,
-        "chunk",
-        (
-            "chunk_size",
-            "left_context",
-            "right_context",
-            "num_layers",
-            "hidden",
-            "ffn_hidden",
-            "num_heads",
-            "memory_slots",
-            "smooth_kernel",
-        ),
-    )
-    gen_j = _section(
-        obj,
-        "generator",
-        (
-            "latent_dim",
-            "base_channels",
-            "upsample_strides",
-            "upsample_kernels",
-            "resblock_kernel_sizes",
-            "resblock_dilations",
-            "io_kernel",
-        ),
-    )
-    post_j = _section(
-        obj, "posterior", ("mcep_dim", "hidden_channels", "num_layers", "kernel_size", "latent_dim")
-    )
-    mel_j = _section(
-        obj,
-        "mel",
-        ("sample_rate", "n_fft", "hop", "win_length", "n_mels", "fmin", "fmax", "log_floor"),
-    )
+    sections = {name: _section(obj, name) for name in _SECTIONS}
+    parts: dict = {}
     try:
-        flags = ModeFlags(**flags_j)
-        return ModelConfig(
-            flags=flags,
-            frontend=FrontendConfig(**front_j),
-            chunk=ChunkConfig(use_smooth=flags.smooth_layer, **chunk_j),
-            generator=GeneratorConfig(
-                latent_dim=gen_j["latent_dim"],
-                base_channels=gen_j["base_channels"],
-                upsample_strides=tuple(gen_j["upsample_strides"]),
-                upsample_kernels=(
-                    None
-                    if gen_j["upsample_kernels"] is None
-                    else tuple(gen_j["upsample_kernels"])
-                ),
-                resblock_kernel_sizes=tuple(gen_j["resblock_kernel_sizes"]),
-                resblock_dilations=tuple(tuple(d) for d in gen_j["resblock_dilations"]),
-                io_kernel=gen_j["io_kernel"],
-            ),
-            posterior=PosteriorConfig(**post_j),
-            mel=MelConfig(**mel_j),
-        )
+        for name, cls in _SECTIONS.items():
+            values = {key: _from_json(value) for key, value in sections[name].items()}
+            if name == "chunk":
+                values["use_smooth"] = parts["flags"].smooth_layer
+            parts[name] = cls(**values)
+        return ModelConfig(**parts)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -70,6 +70,12 @@ class GeneratorConfig:
             self.resblock_dilations
         ):
             raise ConfigError("resblock kernel and dilation lists must align and be nonempty")
+        if any(k < 1 for k in self.resblock_kernel_sizes):
+            raise ConfigError(
+                f"resblock_kernel_sizes must be >= 1, got {self.resblock_kernel_sizes}"
+            )
+        if any(d < 1 for dils in self.resblock_dilations for d in dils):
+            raise ConfigError(f"resblock_dilations must be >= 1, got {self.resblock_dilations}")
         if self.base_channels % (1 << len(self.upsample_strides)) != 0:
             raise ConfigError(
                 f"base_channels {self.base_channels} not divisible by "
@@ -109,26 +115,29 @@ class GeneratorState:
     states: list[ConvState] = field(default_factory=list)
 
 
+def _node_specs(cfg: GeneratorConfig, pad_mode: str) -> list[tuple[str, ConvSpec]]:
+    """Every convolution of the graph, by name, in traversal order."""
+    pre = ConvSpec(cfg.latent_dim, cfg.base_channels, cfg.io_kernel, pad_mode=pad_mode)
+    specs = [("pre", pre)]
+    for i, (stride, kernel) in enumerate(zip(cfg.upsample_strides, cfg.kernels())):
+        cin, cout = cfg.stage_channels(i), cfg.stage_channels(i + 1)
+        up = ConvSpec(cin, cout, kernel, stride=stride, transposed=True, pad_mode=pad_mode)
+        specs.append((f"up.{i}", up))
+        for bidx, (k, dils) in enumerate(zip(cfg.resblock_kernel_sizes, cfg.resblock_dilations)):
+            for j, dil in enumerate(dils):
+                res = ConvSpec(cout, cout, k, dilation=dil, pad_mode=pad_mode)
+                specs.append((f"res.{i}.{bidx}.{j}", res))
+    last = cfg.stage_channels(len(cfg.upsample_strides))
+    specs.append(("post", ConvSpec(last, 1, cfg.io_kernel, pad_mode=pad_mode)))
+    return specs
+
+
 def generator_tensor_shapes(cfg: GeneratorConfig) -> dict[str, tuple[int, ...]]:
     """Canonical tensor names and shapes for a generator of this config."""
-    shapes: dict[str, tuple[int, ...]] = {
-        "generator.pre.weight": (cfg.base_channels, cfg.latent_dim, cfg.io_kernel),
-        "generator.pre.bias": (cfg.base_channels,),
-    }
-    kernels = cfg.kernels()
-    for i, _ in enumerate(cfg.upsample_strides):
-        cin, cout = cfg.stage_channels(i), cfg.stage_channels(i + 1)
-        shapes[f"generator.up.{i}.weight"] = (cout, cin, kernels[i])
-        shapes[f"generator.up.{i}.bias"] = (cout,)
-        for bidx, (k, dils) in enumerate(
-            zip(cfg.resblock_kernel_sizes, cfg.resblock_dilations)
-        ):
-            for j, _d in enumerate(dils):
-                shapes[f"generator.res.{i}.{bidx}.{j}.weight"] = (cout, cout, k)
-                shapes[f"generator.res.{i}.{bidx}.{j}.bias"] = (cout,)
-    last = cfg.stage_channels(len(cfg.upsample_strides))
-    shapes["generator.post.weight"] = (1, last, cfg.io_kernel)
-    shapes["generator.post.bias"] = (1,)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, spec in _node_specs(cfg, "constant"):
+        shapes[f"generator.{name}.weight"] = (spec.out_channels, spec.in_channels, spec.kernel_size)
+        shapes[f"generator.{name}.bias"] = (spec.out_channels,)
     return shapes
 
 
@@ -151,53 +160,15 @@ class Generator:
                 )
         if problems:
             raise ConfigError("; ".join(problems))
-        self._nodes = self._build_nodes(tensors)
-
-    def _build_nodes(self, tensors) -> list[_Node]:
-        cfg, pad = self.cfg, self.pad_mode
-        nodes = [
+        self._nodes = [
             _Node(
-                "pre",
-                ConvSpec(cfg.latent_dim, cfg.base_channels, cfg.io_kernel, pad_mode=pad),
-                np.asarray(tensors["generator.pre.weight"], dtype=DTYPE),
-                np.asarray(tensors["generator.pre.bias"], dtype=DTYPE),
+                name,
+                spec,
+                np.asarray(tensors[f"generator.{name}.weight"], dtype=DTYPE),
+                np.asarray(tensors[f"generator.{name}.bias"], dtype=DTYPE),
             )
+            for name, spec in _node_specs(cfg, pad_mode)
         ]
-        kernels = cfg.kernels()
-        for i, stride in enumerate(cfg.upsample_strides):
-            cin, cout = cfg.stage_channels(i), cfg.stage_channels(i + 1)
-            nodes.append(
-                _Node(
-                    f"up.{i}",
-                    ConvSpec(
-                        cin, cout, kernels[i], stride=stride, transposed=True, pad_mode=pad
-                    ),
-                    np.asarray(tensors[f"generator.up.{i}.weight"], dtype=DTYPE),
-                    np.asarray(tensors[f"generator.up.{i}.bias"], dtype=DTYPE),
-                )
-            )
-            for bidx, (k, dils) in enumerate(
-                zip(cfg.resblock_kernel_sizes, cfg.resblock_dilations)
-            ):
-                for j, dil in enumerate(dils):
-                    nodes.append(
-                        _Node(
-                            f"res.{i}.{bidx}.{j}",
-                            ConvSpec(cout, cout, k, dilation=dil, pad_mode=pad),
-                            np.asarray(tensors[f"generator.res.{i}.{bidx}.{j}.weight"], dtype=DTYPE),
-                            np.asarray(tensors[f"generator.res.{i}.{bidx}.{j}.bias"], dtype=DTYPE),
-                        )
-                    )
-        last = cfg.stage_channels(len(cfg.upsample_strides))
-        nodes.append(
-            _Node(
-                "post",
-                ConvSpec(last, 1, cfg.io_kernel, pad_mode=pad),
-                np.asarray(tensors["generator.post.weight"], dtype=DTYPE),
-                np.asarray(tensors["generator.post.bias"], dtype=DTYPE),
-            )
-        )
-        return nodes
 
     @property
     def hop(self) -> int:

@@ -263,6 +263,26 @@ class TestStreaming:
         _, out_b = causal_conv1d_step(state0, np.array([[3.0]], F32), w, b, spec)
         np.testing.assert_array_equal(out_a, out_b)
 
+    @pytest.mark.parametrize("k, s", [(3, 2), (5, 3), (7, 4)])
+    @pytest.mark.parametrize("pad_mode", ["constant", "replicate"])
+    def test_state_owns_its_history(self, k, s, pad_mode):
+        """A caller reusing its chunk buffer does not rewrite a stream's history.
+
+        With ``s < k < 2s`` a transposed layer pads nothing, so a stream's
+        first chunk is the whole padded input the state's history comes from.
+        """
+        rng = np.random.default_rng(k * s)
+        spec = ConvSpec(2, 3, k, stride=s, transposed=True, pad_mode=pad_mode)
+        w = rng.normal(size=(3, 2, k)).astype(F32)
+        b = rng.normal(size=3).astype(F32)
+        x = rng.normal(size=(2, 9)).astype(F32)
+        chunk = x[:, :4].copy()
+        state, out1 = conv_step(init_conv_state(spec), chunk, w, b, spec)
+        chunk[:] = 100.0
+        _, out2 = conv_step(state, x[:, 4:], w, b, spec)
+        got = np.concatenate([out1, out2], axis=1)
+        np.testing.assert_allclose(got, conv_offline(x, w, b, spec), atol=1e-5)
+
     def test_stacked_net_stream_matches_offline(self):
         rng = np.random.default_rng(10)
         for _ in range(20):

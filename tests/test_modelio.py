@@ -1,5 +1,6 @@
 """Weight container, config schema, and bundle assembly tests."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -235,6 +236,69 @@ class TestConfigSchema:
                 )
             )
 
+    def test_default_config_file_text_is_pinned(self, tmp_path):
+        # Shipped config files must keep loading: section order, key order,
+        # value types and layout are a file format, written out here by hand.
+        pinned = {
+            "version": 1,
+            "flags": {"causal_posterior": True, "natural_padding": True, "smooth_layer": True},
+            "frontend": {"phoneme_vocab": 64, "note_vocab": 128},
+            "chunk": {
+                "chunk_size": 20,
+                "left_context": 10,
+                "right_context": 4,
+                "num_layers": 4,
+                "hidden": 192,
+                "ffn_hidden": 768,
+                "num_heads": 2,
+                "memory_slots": 4,
+                "smooth_kernel": 3,
+            },
+            "generator": {
+                "latent_dim": 192,
+                "base_channels": 64,
+                "upsample_strides": [8, 8, 4, 2],
+                "upsample_kernels": None,
+                "resblock_kernel_sizes": [3],
+                "resblock_dilations": [[1, 3]],
+                "io_kernel": 7,
+            },
+            "posterior": {
+                "mcep_dim": 80,
+                "hidden_channels": 192,
+                "num_layers": 3,
+                "kernel_size": 5,
+                "latent_dim": 192,
+            },
+            "mel": {
+                "sample_rate": 44100,
+                "n_fft": 2048,
+                "hop": 512,
+                "win_length": None,
+                "n_mels": 80,
+                "fmin": 0.0,
+                "fmax": None,
+                "log_floor": 1e-05,
+            },
+        }
+        path = tmp_path / "config.json"
+        save_config(str(path), default_config())
+        assert path.read_text(encoding="utf-8") == json.dumps(pinned, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("resblock_kernel_sizes", (0,)), ("resblock_dilations", ((1, 0),))],
+    )
+    def test_bad_resblock_sizes_rejected_naming_the_field(self, field, value):
+        fields = dict(resblock_kernel_sizes=(3,), resblock_dilations=((1, 3),))
+        fields[field] = value
+        with pytest.raises(ConfigError, match=field):
+            GeneratorConfig(**fields)
+        obj = config_to_json(tiny_config())
+        obj["generator"].update({k: json.loads(json.dumps(v)) for k, v in fields.items()})
+        with pytest.raises(ConfigError, match=field):
+            config_from_json(obj)
+
 
 class TestManifestAndBundle:
     def test_manifest_covers_components(self):
@@ -267,6 +331,15 @@ class TestManifestAndBundle:
         )
         names = tensor_manifest(cfg)
         assert not any(".smooth." in n for n in names)
+
+    def test_default_manifest_is_pinned(self):
+        # make_random_tensors draws in manifest order, and the recorded
+        # perfbench/reference.npz depends on those draws: a reorder or a
+        # reshape must fail here, not only in the benchmark.
+        items = list(tensor_manifest(default_config()).items())
+        digest = hashlib.sha256(repr(items).encode()).hexdigest()
+        assert len(items) == 126
+        assert digest == "90c982b34f219486dbd7fac6d1f02fa8bb32125e3a5f58d3c073dcabab8ecdd3"
 
     def test_random_tensors_match_manifest(self):
         cfg = tiny_config()

@@ -1,7 +1,9 @@
 """End-to-end synthesis, WAV I/O, bench, verify, and CLI tests."""
 
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -491,3 +493,16 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "FormatError"
+
+
+class TestBenchmarkWrapTargets:
+    def test_every_span_target_resolves(self, monkeypatch):
+        """A rename that drops a benchmark wrap target fails here, not as a missing metric."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)
+        spec.loader.exec_module(spans)
+        recorder = spans.Recorder()
+        assert recorder.missing == []
+        assert len(recorder.wrapped) == len(spans.TARGETS)
