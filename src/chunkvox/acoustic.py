@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,6 +201,31 @@ class PosteriorConfig:
         return self.mcep_dim + 1
 
 
+# Cached: every encode call reads its conv specs from here.
+@lru_cache(maxsize=8)
+def _posterior_tensors(cfg: PosteriorConfig):
+    """``(tensor name, shape)`` pairs of each conv layer, in the order of a
+    ``PosteriorWeights.layers`` tuple, then of the head (``out_w``, ``out_b``)."""
+    h, k, out = cfg.hidden_channels, cfg.kernel_size, 2 * cfg.latent_dim
+    cins = [cfg.in_channels] + [h] * (cfg.num_layers - 1)
+    layers = tuple(
+        (
+            (f"posterior.{i}.weight", (h, cin, k)),
+            (f"posterior.{i}.bias", (h,)),
+            (f"posterior.{i}.norm.gamma", (h,)),
+            (f"posterior.{i}.norm.beta", (h,)),
+        )
+        for i, cin in enumerate(cins)
+    )
+    return layers, (("posterior.out.weight", (out, h, 1)), ("posterior.out.bias", (out,)))
+
+
+def posterior_tensor_shapes(cfg: PosteriorConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical tensor names and shapes for a posterior encoder of this config."""
+    layers, head = _posterior_tensors(cfg)
+    return {name: shape for rows in (*layers, head) for name, shape in rows}
+
+
 @dataclass
 class PosteriorWeights:
     """Conv stack parameters: ``layers`` of (w, b, gamma, beta), then a
@@ -209,25 +235,26 @@ class PosteriorWeights:
     out_w: np.ndarray
     out_b: np.ndarray
 
+    @classmethod
+    def from_tensors(cls, cfg: PosteriorConfig, tensors) -> PosteriorWeights:
+        """Bind every weight to ``tensors`` by its name in the file."""
+        layers, head = _posterior_tensors(cfg)
+        out_w, out_b = (tensors[name] for name, _ in head)
+        return cls([tuple(tensors[name] for name, _ in rows) for rows in layers], out_w, out_b)
+
     def check(self, cfg: PosteriorConfig) -> list[str]:
-        problems = []
-        cin = cfg.in_channels
-        for i, (w, b, gamma, beta) in enumerate(self.layers):
-            want = (cfg.hidden_channels, cin, cfg.kernel_size)
-            if w.shape != want:
-                problems.append(f"posterior layer {i}: kernel {w.shape}, wants {want}")
-            if b.shape != (cfg.hidden_channels,):
-                problems.append(f"posterior layer {i}: bias {b.shape}")
-            if gamma.shape != (cfg.hidden_channels,) or beta.shape != (cfg.hidden_channels,):
-                problems.append(f"posterior layer {i}: norm shapes {gamma.shape}/{beta.shape}")
-            cin = cfg.hidden_channels
+        layers, head = _posterior_tensors(cfg)
+        where = (f"layer {i}:" for i in range(cfg.num_layers))
+        parts = [*zip(where, self.layers, layers), ("head", (self.out_w, self.out_b), head)]
+        # A tensor goes by its name after ``posterior.{i}.`` or ``posterior.out.``.
+        problems = [
+            f"posterior {part} {name.split('.', 2)[2]} {arr.shape}, wants {shape}"
+            for part, arrays, rows in parts
+            for arr, (name, shape) in zip(arrays, rows)
+            if arr.shape != shape
+        ]
         if len(self.layers) != cfg.num_layers:
             problems.append(f"posterior has {len(self.layers)} layers, wants {cfg.num_layers}")
-        want_out = (2 * cfg.latent_dim, cfg.hidden_channels, 1)
-        if self.out_w.shape != want_out:
-            problems.append(f"posterior head kernel {self.out_w.shape}, wants {want_out}")
-        if self.out_b.shape != (2 * cfg.latent_dim,):
-            problems.append(f"posterior head bias {self.out_b.shape}")
         return problems
 
 
@@ -263,13 +290,8 @@ class PosteriorEncoder:
         self.causal = causal
 
     def _conv_specs(self) -> list[ConvSpec]:
-        cfg = self.cfg
-        specs = []
-        cin = cfg.in_channels
-        for _ in range(cfg.num_layers):
-            specs.append(ConvSpec(cin, cfg.hidden_channels, cfg.kernel_size, pad_mode="constant"))
-            cin = cfg.hidden_channels
-        return specs
+        layers, _ = _posterior_tensors(self.cfg)
+        return [ConvSpec(cin, cout, k, pad_mode="constant") for (_, (cout, cin, k)), *_ in layers]
 
     def _split(self, head_out: np.ndarray) -> GaussianParams:
         d = self.cfg.latent_dim

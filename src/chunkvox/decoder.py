@@ -28,7 +28,8 @@ to full self-attention (see :func:`full_attention_oracle`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,18 +81,24 @@ class ChunkConfig:
             raise ConfigError(f"smooth_kernel must be >= 1, got {self.smooth_kernel}")
 
 
+def _tensor(name: str, *dims: str):
+    """A weight stored as ``decoder.{layer}.{name}``, shaped by the named
+    :class:`ChunkConfig` fields in order."""
+    return field(metadata={"tensor": name, "dims": dims})
+
+
 @dataclass
 class SmoothWeights:
     """Parameters of one causal smoothing layer (conv -> norm, twice)."""
 
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    norm1_gamma: np.ndarray
-    norm1_beta: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    norm2_gamma: np.ndarray
-    norm2_beta: np.ndarray
+    conv1_w: np.ndarray = _tensor("smooth.conv1.weight", "hidden", "hidden", "smooth_kernel")
+    conv1_b: np.ndarray = _tensor("smooth.conv1.bias", "hidden")
+    norm1_gamma: np.ndarray = _tensor("smooth.norm1.gamma", "hidden")
+    norm1_beta: np.ndarray = _tensor("smooth.norm1.beta", "hidden")
+    conv2_w: np.ndarray = _tensor("smooth.conv2.weight", "hidden", "hidden", "smooth_kernel")
+    conv2_b: np.ndarray = _tensor("smooth.conv2.bias", "hidden")
+    norm2_gamma: np.ndarray = _tensor("smooth.norm2.gamma", "hidden")
+    norm2_beta: np.ndarray = _tensor("smooth.norm2.beta", "hidden")
 
 
 @dataclass
@@ -102,64 +109,68 @@ class AttentionLayerWeights:
     inside ``smooth`` follow the ``[out, in, taps]`` convention.
     """
 
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_out: np.ndarray
-    attn_norm_gamma: np.ndarray
-    attn_norm_beta: np.ndarray
-    ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
-    ffn_norm_gamma: np.ndarray
-    ffn_norm_beta: np.ndarray
+    w_q: np.ndarray = _tensor("w_q", "hidden", "hidden")
+    w_k: np.ndarray = _tensor("w_k", "hidden", "hidden")
+    w_v: np.ndarray = _tensor("w_v", "hidden", "hidden")
+    w_out: np.ndarray = _tensor("w_out", "hidden", "hidden")
+    attn_norm_gamma: np.ndarray = _tensor("attn_norm.gamma", "hidden")
+    attn_norm_beta: np.ndarray = _tensor("attn_norm.beta", "hidden")
+    ffn_w1: np.ndarray = _tensor("ffn.w1", "hidden", "ffn_hidden")
+    ffn_b1: np.ndarray = _tensor("ffn.b1", "ffn_hidden")
+    ffn_w2: np.ndarray = _tensor("ffn.w2", "ffn_hidden", "hidden")
+    ffn_b2: np.ndarray = _tensor("ffn.b2", "hidden")
+    ffn_norm_gamma: np.ndarray = _tensor("ffn_norm.gamma", "hidden")
+    ffn_norm_beta: np.ndarray = _tensor("ffn_norm.beta", "hidden")
     smooth: SmoothWeights | None = None
+
+    @classmethod
+    def from_tensors(cls, cfg: ChunkConfig, tensors, layer: int) -> AttentionLayerWeights:
+        """Bind layer ``layer``'s weights to ``tensors`` by their names in the file."""
+        attention, smoothing = (
+            {f: tensors[name] for f, name, _ in rows} for rows in _layer_tensors(cfg)[layer]
+        )
+        return cls(**attention, smooth=SmoothWeights(**smoothing) if smoothing else None)
 
     def check(self, cfg: ChunkConfig, layer: int) -> list[str]:
         """Collect human-readable shape problems (empty list when clean)."""
-        d, f = cfg.hidden, cfg.ffn_hidden
-        want = {
-            "w_q": (d, d),
-            "w_k": (d, d),
-            "w_v": (d, d),
-            "w_out": (d, d),
-            "attn_norm_gamma": (d,),
-            "attn_norm_beta": (d,),
-            "ffn_w1": (d, f),
-            "ffn_b1": (f,),
-            "ffn_w2": (f, d),
-            "ffn_b2": (d,),
-            "ffn_norm_gamma": (d,),
-            "ffn_norm_beta": (d,),
-        }
+        attention, smoothing = _layer_tensors(cfg)[0]  # every layer has the same shapes
+        parts = [("", self, attention), ("smooth.", self.smooth, smoothing)]
         problems = [
-            f"layer {layer}: {name} has shape {getattr(self, name).shape}, wants {shape}"
-            for name, shape in want.items()
-            if getattr(self, name).shape != shape
+            f"layer {layer}: {prefix}{f} has shape {getattr(w, f).shape}, wants {shape}"
+            for prefix, w, rows in parts
+            if w is not None
+            for f, _, shape in rows
+            if getattr(w, f).shape != shape
         ]
-        if cfg.use_smooth:
-            if self.smooth is None:
-                problems.append(f"layer {layer}: smoothing enabled but weights missing")
-            else:
-                k = cfg.smooth_kernel
-                smooth_want = {
-                    "conv1_w": (d, d, k),
-                    "conv1_b": (d,),
-                    "norm1_gamma": (d,),
-                    "norm1_beta": (d,),
-                    "conv2_w": (d, d, k),
-                    "conv2_b": (d,),
-                    "norm2_gamma": (d,),
-                    "norm2_beta": (d,),
-                }
-                problems += [
-                    f"layer {layer}: smooth.{name} has shape "
-                    f"{getattr(self.smooth, name).shape}, wants {shape}"
-                    for name, shape in smooth_want.items()
-                    if getattr(self.smooth, name).shape != shape
-                ]
+        if smoothing and self.smooth is None:
+            problems.append(f"layer {layer}: smoothing enabled but weights missing")
         return problems
+
+
+# Cached: every full-mode synth builds a DecoderStream, which checks every layer.
+@lru_cache(maxsize=8)
+def _layer_tensors(cfg: ChunkConfig):
+    """Per layer, ``(field, tensor name, shape)`` for each attention weight,
+    then for each smoothing weight (none when smoothing is off)."""
+
+    def rows(cls):
+        return [
+            (f.name, m["tensor"], tuple(getattr(cfg, d) for d in m["dims"]))
+            for f in fields(cls)
+            if (m := f.metadata)
+        ]
+
+    parts = (rows(AttentionLayerWeights), rows(SmoothWeights) if cfg.use_smooth else [])
+    return tuple(
+        tuple(tuple((f, f"decoder.{i}.{name}", shape) for f, name, shape in part) for part in parts)
+        for i in range(cfg.num_layers)
+    )
+
+
+def decoder_tensor_shapes(cfg: ChunkConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical tensor names and shapes for a decoder of this config."""
+    layers = _layer_tensors(cfg)
+    return {name: shape for layer in layers for rows in layer for _, name, shape in rows}
 
 
 @dataclass

@@ -10,9 +10,16 @@ Weight files are a flat named-tensor container:
         ndim     u8,  dims u32 * ndim
         data     float32 little-endian, C order
 
-All integers are little-endian.  Configs are explicit JSON with no hidden
-defaults: every section and key must be present (``null`` selects the
-documented derived value where one exists, e.g. mel ``fmax``).
+All integers are little-endian.  Each component names and shapes its own
+tensors: ``decoder.*`` in :mod:`chunkvox.decoder` (the fields of
+``AttentionLayerWeights`` and ``SmoothWeights``), ``posterior.*`` in
+:mod:`chunkvox.acoustic` and ``generator.*`` in :mod:`chunkvox.vocoder`;
+this module names only the ``frontend.*`` and ``prior.*`` tensors.
+
+Configs are explicit JSON with no hidden defaults: every section and key
+must be present, with a value of its field's type (``null`` only where the
+field allows None, where it selects the documented derived value, e.g. mel
+``fmax``).
 """
 
 from __future__ import annotations
@@ -22,12 +29,14 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .acoustic import PosteriorConfig, PosteriorEncoder, PosteriorWeights
+from .acoustic import PosteriorConfig, PosteriorEncoder, PosteriorWeights, posterior_tensor_shapes
 from .convs import tap_major
-from .decoder import AttentionLayerWeights, ChunkConfig, SmoothWeights
+from .decoder import AttentionLayerWeights, ChunkConfig, decoder_tensor_shapes
 from .dsp import MelConfig
 from .errors import ConfigError, FormatError
 from .kernels import DTYPE
@@ -199,8 +208,28 @@ _SECTIONS = {
     "posterior": PosteriorConfig,
     "mel": MelConfig,
 }
+
+
+def _accepts(hint):
+    """A test of whether a JSON value, arrays already tuples, has type ``hint``:
+    a bool is never a number, and an int is also a float."""
+    if get_origin(hint) is UnionType:
+        options = [_accepts(arg) for arg in get_args(hint)]
+        return lambda value: any(ok(value) for ok in options)
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        item = _accepts(get_args(hint)[0])
+        return lambda value: type(value) is tuple and all(map(item, value))
+    exact = (int, float) if hint is float else (hint,)
+    return lambda value: type(value) in exact
+
+
+# Each section's keys, each with its value test and the annotation it tests.
 _KEYS = {
-    name: tuple(f.name for f in fields(cls) if (name, f.name) != ("chunk", "use_smooth"))
+    name: {
+        f.name: (_accepts(get_type_hints(cls)[f.name]), f.type)
+        for f in fields(cls)
+        if (name, f.name) != ("chunk", "use_smooth")
+    }
     for name, cls in _SECTIONS.items()
 }
 
@@ -228,7 +257,12 @@ def _section(obj: dict, name: str) -> dict:
         raise FormatError(
             f"config section {name!r}: missing keys {missing}, unknown keys {unknown}"
         )
-    return section
+    values = {}
+    for key, (accepts, annotation) in keys.items():
+        value = values[key] = _from_json(section[key])
+        if not accepts(value):
+            raise FormatError(f"config {name}.{key} must be {annotation}, got {section[key]!r}")
+    return values
 
 
 def config_to_json(cfg: ModelConfig) -> dict:
@@ -252,7 +286,7 @@ def config_from_json(obj: dict) -> ModelConfig:
     parts: dict = {}
     try:
         for name, cls in _SECTIONS.items():
-            values = {key: _from_json(value) for key, value in sections[name].items()}
+            values = sections[name]
             if name == "chunk":
                 values["use_smooth"] = parts["flags"].smooth_layer
             parts[name] = cls(**values)
@@ -280,51 +314,16 @@ def load_config(path: str) -> ModelConfig:
 
 def tensor_manifest(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every tensor a bundle requires, by name and shape."""
-    d = cfg.chunk.hidden
-    f = cfg.chunk.ffn_hidden
     e = cfg.embed_dim
-    shapes: dict[str, tuple[int, ...]] = {
+    return {
         "frontend.phoneme_embed": (cfg.frontend.phoneme_vocab, e),
         "frontend.note_embed": (cfg.frontend.note_vocab, e),
-        "prior.weight": (d, 2 * cfg.latent_dim),
+        "prior.weight": (cfg.chunk.hidden, 2 * cfg.latent_dim),
         "prior.bias": (2 * cfg.latent_dim,),
+        **decoder_tensor_shapes(cfg.chunk),
+        **posterior_tensor_shapes(cfg.posterior),
+        **generator_tensor_shapes(cfg.generator),
     }
-    for i in range(cfg.chunk.num_layers):
-        p = f"decoder.{i}."
-        shapes[p + "w_q"] = (d, d)
-        shapes[p + "w_k"] = (d, d)
-        shapes[p + "w_v"] = (d, d)
-        shapes[p + "w_out"] = (d, d)
-        shapes[p + "attn_norm.gamma"] = (d,)
-        shapes[p + "attn_norm.beta"] = (d,)
-        shapes[p + "ffn.w1"] = (d, f)
-        shapes[p + "ffn.b1"] = (f,)
-        shapes[p + "ffn.w2"] = (f, d)
-        shapes[p + "ffn.b2"] = (d,)
-        shapes[p + "ffn_norm.gamma"] = (d,)
-        shapes[p + "ffn_norm.beta"] = (d,)
-        if cfg.flags.smooth_layer:
-            k = cfg.chunk.smooth_kernel
-            shapes[p + "smooth.conv1.weight"] = (d, d, k)
-            shapes[p + "smooth.conv1.bias"] = (d,)
-            shapes[p + "smooth.norm1.gamma"] = (d,)
-            shapes[p + "smooth.norm1.beta"] = (d,)
-            shapes[p + "smooth.conv2.weight"] = (d, d, k)
-            shapes[p + "smooth.conv2.bias"] = (d,)
-            shapes[p + "smooth.norm2.gamma"] = (d,)
-            shapes[p + "smooth.norm2.beta"] = (d,)
-    cin = cfg.posterior.in_channels
-    for i in range(cfg.posterior.num_layers):
-        p = f"posterior.{i}."
-        shapes[p + "weight"] = (cfg.posterior.hidden_channels, cin, cfg.posterior.kernel_size)
-        shapes[p + "bias"] = (cfg.posterior.hidden_channels,)
-        shapes[p + "norm.gamma"] = (cfg.posterior.hidden_channels,)
-        shapes[p + "norm.beta"] = (cfg.posterior.hidden_channels,)
-        cin = cfg.posterior.hidden_channels
-    shapes["posterior.out.weight"] = (2 * cfg.posterior.latent_dim, cfg.posterior.hidden_channels, 1)
-    shapes["posterior.out.bias"] = (2 * cfg.posterior.latent_dim,)
-    shapes.update(generator_tensor_shapes(cfg.generator))
-    return shapes
 
 
 def make_random_tensors(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
@@ -371,65 +370,21 @@ def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundl
         name: tap_major(tensors[name]) if len(shape) == 3 else np.asarray(tensors[name], dtype=DTYPE)
         for name, shape in manifest.items()
     }
-    decoder_weights = []
-    for i in range(cfg.chunk.num_layers):
-        p = f"decoder.{i}."
-        smooth = None
-        if cfg.flags.smooth_layer:
-            smooth = SmoothWeights(
-                conv1_w=t[p + "smooth.conv1.weight"],
-                conv1_b=t[p + "smooth.conv1.bias"],
-                norm1_gamma=t[p + "smooth.norm1.gamma"],
-                norm1_beta=t[p + "smooth.norm1.beta"],
-                conv2_w=t[p + "smooth.conv2.weight"],
-                conv2_b=t[p + "smooth.conv2.bias"],
-                norm2_gamma=t[p + "smooth.norm2.gamma"],
-                norm2_beta=t[p + "smooth.norm2.beta"],
-            )
-        decoder_weights.append(
-            AttentionLayerWeights(
-                w_q=t[p + "w_q"],
-                w_k=t[p + "w_k"],
-                w_v=t[p + "w_v"],
-                w_out=t[p + "w_out"],
-                attn_norm_gamma=t[p + "attn_norm.gamma"],
-                attn_norm_beta=t[p + "attn_norm.beta"],
-                ffn_w1=t[p + "ffn.w1"],
-                ffn_b1=t[p + "ffn.b1"],
-                ffn_w2=t[p + "ffn.w2"],
-                ffn_b2=t[p + "ffn.b2"],
-                ffn_norm_gamma=t[p + "ffn_norm.gamma"],
-                ffn_norm_beta=t[p + "ffn_norm.beta"],
-                smooth=smooth,
-            )
-        )
-    posterior_weights = PosteriorWeights(
-        layers=[
-            (
-                t[f"posterior.{i}.weight"],
-                t[f"posterior.{i}.bias"],
-                t[f"posterior.{i}.norm.gamma"],
-                t[f"posterior.{i}.norm.beta"],
-            )
-            for i in range(cfg.posterior.num_layers)
-        ],
-        out_w=t["posterior.out.weight"],
-        out_b=t["posterior.out.bias"],
-    )
-    generator = Generator(
-        cfg.generator,
-        t,
-        pad_mode="replicate" if cfg.flags.natural_padding else "constant",
-    )
     return ModelBundle(
         config=cfg,
         tensors=dict(tensors),
-        decoder_weights=decoder_weights,
+        decoder_weights=[
+            AttentionLayerWeights.from_tensors(cfg.chunk, t, i) for i in range(cfg.chunk.num_layers)
+        ],
         prior_w=t["prior.weight"],
         prior_b=t["prior.bias"],
-        generator=generator,
+        generator=Generator(
+            cfg.generator, t, pad_mode="replicate" if cfg.flags.natural_padding else "constant"
+        ),
         posterior=PosteriorEncoder(
-            cfg.posterior, posterior_weights, causal=cfg.flags.causal_posterior
+            cfg.posterior,
+            PosteriorWeights.from_tensors(cfg.posterior, t),
+            causal=cfg.flags.causal_posterior,
         ),
         phoneme_embed=t["frontend.phoneme_embed"],
         note_embed=t["frontend.note_embed"],

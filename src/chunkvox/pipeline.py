@@ -44,6 +44,7 @@ VERIFY_CHECKS = (
     "length_laws",
     "attention_degenerate",
     "padding_probe",
+    "finite",
 )
 _F0_SCALE = 8.0
 
@@ -411,6 +412,13 @@ def _verify_padding_probe(bundle: ModelBundle) -> tuple[bool, str] | None:
     return diff <= 1e-5, f"stored vs recomputed probe waveform: max diff {diff:.2e}"
 
 
+def _verify_finite(bundle: ModelBundle) -> tuple[bool, str]:
+    bad = [name for name, tensor in bundle.tensors.items() if not np.isfinite(tensor).all()]
+    if bad:
+        return False, f"non-finite values in {', '.join(bad)}"
+    return True, f"all {len(bundle.tensors)} tensors finite"
+
+
 def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list[dict]:
     """Run runtime self-checks against a loaded bundle.
 
@@ -424,6 +432,7 @@ def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list
         "length_laws": _verify_length_laws,
         "attention_degenerate": _verify_attention_degenerate,
         "padding_probe": _verify_padding_probe,
+        "finite": _verify_finite,
     }
     unknown = [c for c in checks if c not in runners]
     if unknown:

@@ -1,5 +1,6 @@
 """Weight container, config schema, and bundle assembly tests."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from chunkvox.cli import main as cli_main
-from chunkvox.decoder import ChunkConfig
+from chunkvox.decoder import AttentionLayerWeights, ChunkConfig, SmoothWeights
 from chunkvox.dsp import MelConfig
 from chunkvox.errors import ConfigError, FormatError
 from chunkvox.modelio import (
@@ -299,6 +300,32 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=field):
             config_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("flags", "smooth_layer", "false"),
+            ("chunk", "num_layers", 2.0),
+            ("generator", "io_kernel", True),
+            ("chunk", "hidden", None),
+            ("generator", "upsample_strides", [2, 2.0]),
+            ("generator", "resblock_dilations", [[1, False]]),
+        ],
+    )
+    def test_value_of_wrong_type_rejected_naming_the_key(self, section, key, value):
+        obj = config_to_json(tiny_config())
+        obj[section][key] = value
+        with pytest.raises(FormatError, match=rf"config {section}\.{key} must be "):
+            config_from_json(obj)
+
+    def test_int_accepted_for_float_and_null_for_optional(self):
+        obj = config_to_json(tiny_config())
+        obj["mel"]["fmin"] = 0
+        obj["mel"]["log_floor"] = 1
+        obj["generator"]["upsample_kernels"] = None
+        cfg = config_from_json(obj)
+        assert cfg.mel.fmin == 0 and cfg.mel.log_floor == 1
+        assert cfg.generator.upsample_kernels is None
+
 
 class TestManifestAndBundle:
     def test_manifest_covers_components(self):
@@ -425,6 +452,74 @@ class TestManifestAndBundle:
             assert w.ndim == 3 and w.dtype == np.float32
             for j in range(w.shape[2]):
                 assert w[:, :, j].strides[1] == w.itemsize
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    def test_every_weight_field_is_bound_to_its_tensor(self, smooth):
+        # The file's tensor name for each weight field, written out apart
+        # from the tables the binding is derived from.
+        layer_tensors = {
+            "w_q": "w_q",
+            "w_k": "w_k",
+            "w_v": "w_v",
+            "w_out": "w_out",
+            "attn_norm_gamma": "attn_norm.gamma",
+            "attn_norm_beta": "attn_norm.beta",
+            "ffn_w1": "ffn.w1",
+            "ffn_b1": "ffn.b1",
+            "ffn_w2": "ffn.w2",
+            "ffn_b2": "ffn.b2",
+            "ffn_norm_gamma": "ffn_norm.gamma",
+            "ffn_norm_beta": "ffn_norm.beta",
+        }
+        smooth_tensors = {
+            "conv1_w": "smooth.conv1.weight",
+            "conv1_b": "smooth.conv1.bias",
+            "norm1_gamma": "smooth.norm1.gamma",
+            "norm1_beta": "smooth.norm1.beta",
+            "conv2_w": "smooth.conv2.weight",
+            "conv2_b": "smooth.conv2.bias",
+            "norm2_gamma": "smooth.norm2.gamma",
+            "norm2_beta": "smooth.norm2.beta",
+        }
+        posterior_slots = ("weight", "bias", "norm.gamma", "norm.beta")
+        names = lambda cls: {f.name for f in dataclasses.fields(cls)}
+        assert names(AttentionLayerWeights) == {*layer_tensors, "smooth"}
+        assert names(SmoothWeights) == set(smooth_tensors)
+
+        cfg = tiny_config(
+            flags=ModeFlags(smooth_layer=smooth),
+            chunk=dataclasses.replace(tiny_config().chunk, use_smooth=smooth),
+        )
+        # Each tensor holds its own constant, so any two swapped names show.
+        tensors = {
+            name: np.full(shape, i + 1, dtype=np.float32)
+            for i, (name, shape) in enumerate(tensor_manifest(cfg).items())
+        }
+        bundle = build_bundle(cfg, tensors)
+        seen = set()
+
+        def expect(array, name):
+            assert array.shape == tensors[name].shape and np.all(array == tensors[name]), name
+            seen.add(name)
+
+        assert len(bundle.decoder_weights) == cfg.chunk.num_layers
+        for i, lw in enumerate(bundle.decoder_weights):
+            for field, name in layer_tensors.items():
+                expect(getattr(lw, field), f"decoder.{i}.{name}")
+            if smooth:
+                for field, name in smooth_tensors.items():
+                    expect(getattr(lw.smooth, field), f"decoder.{i}.{name}")
+            else:
+                assert lw.smooth is None
+        post = bundle.posterior.weights
+        assert len(post.layers) == cfg.posterior.num_layers
+        for i, layer in enumerate(post.layers):
+            assert len(layer) == len(posterior_slots)
+            for array, slot in zip(layer, posterior_slots):
+                expect(array, f"posterior.{i}.{slot}")
+        expect(post.out_w, "posterior.out.weight")
+        expect(post.out_b, "posterior.out.bias")
+        assert seen == {n for n in tensors if n.startswith(("decoder.", "posterior."))}
 
     def test_decoder_weights_pass_shape_check(self):
         cfg = tiny_config()

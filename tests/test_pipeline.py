@@ -360,6 +360,18 @@ class TestVerify:
         report = verify(bundle, ("padding_probe",))
         assert report[0]["status"] == "fail"
 
+    def test_finite_names_every_non_finite_tensor(self):
+        cfg = tiny_config()
+        tensors = make_random_model(cfg, seed=3)
+        assert verify(build_bundle(cfg, tensors), ("finite",))[0]["status"] == "pass"
+        for name, value in (("decoder.0.w_q", np.nan), ("generator.post.bias", -np.inf)):
+            tensors[name] = tensors[name].copy()
+            tensors[name].flat[-1] = value
+        report = verify(build_bundle(cfg, tensors), ("finite",))[0]
+        assert report["status"] == "fail"
+        assert "decoder.0.w_q" in report["detail"] and "generator.post.bias" in report["detail"]
+        assert "decoder.0.w_k" not in report["detail"]
+
 
 def write_model_files(tmp_path, cfg=None):
     cfg = cfg or tiny_config()
