@@ -18,29 +18,32 @@ whenever that pad is nonzero, and keeps exactly ``length * stride`` output
 columns; with ``kernel_size == 2 * stride`` this is the same as trimming one
 stride from each end of the padded result.
 
-``natural`` pad mode defers padding to the network level: no layer pads at
-all, real preceding frames are prepended to the slice instead, and every
-transposed layer trims ``stride`` columns from both ends of its raw output.
-``natural_pad_forward`` implements that whole-network discipline.
-
 Streaming evaluation (``*_step``) feeds arbitrary chunk splits through one
 rule for both layer types: the carried state is the tail of the padded input
 seen so far, each chunk reruns the layer over ``[history; chunk]``, and the
 output columns the chunk completes are emitted.  Concatenated outputs equal
 the offline result up to float associativity.
+
+Natural padding, giving each chunk real preceding frames in place of zeros,
+is therefore what every stream already does: padding (``replicate`` or
+zeros) stands in for history only at a stream's start, and after that each
+layer's ``ConvState`` carries the real frames.  :func:`natural_pad_forward`
+is the stateless form of the same rule for one slice of a sequence: it
+prepends :func:`required_history` real frames and runs the padded offline
+path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .kernels import DTYPE
 
-PAD_MODES = ("constant", "replicate", "natural")
+PAD_MODES = ("constant", "replicate")
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,7 @@ class ConvSpec:
         stride: Hop for plain layers, upsampling factor for transposed ones.
         dilation: Tap spacing; transposed layers must use 1.
         transposed: Whether the layer upsamples via transposed convolution.
-        pad_mode: ``"constant"``, ``"replicate"``, or ``"natural"``.
-        pad_value: Fill value for ``constant`` padding.
+        pad_mode: ``"constant"`` (zeros) or ``"replicate"`` (the first frame).
     """
 
     in_channels: int
@@ -65,7 +67,6 @@ class ConvSpec:
     dilation: int = 1
     transposed: bool = False
     pad_mode: str = "constant"
-    pad_value: float = 0.0
 
     def __post_init__(self) -> None:
         for field in ("in_channels", "out_channels", "kernel_size", "stride", "dilation"):
@@ -90,6 +91,22 @@ def left_context(spec: ConvSpec) -> int:
     return spec.dilation * (spec.kernel_size - 1)
 
 
+def history(spec: ConvSpec) -> int:
+    """Padded input frames before a chunk that the chunk's output columns read.
+
+    This is the history a stream carries in ``ConvState.buf``.  A stride-1
+    plain layer reads ``left_context`` frames; a transposed layer's columns
+    for frame ``i`` read frames ``i - history .. i``.  A plain layer with
+    stride above 1 has none that fits every position, since its output phase
+    depends on the absolute frame index.
+    """
+    if spec.transposed:
+        return max(left_context(spec) - 1, 0) + (spec.kernel_size - 1) // spec.stride
+    if spec.stride != 1:
+        raise ConfigError(f"history of a plain layer needs stride 1, got stride {spec.stride}")
+    return left_context(spec)
+
+
 @dataclass(frozen=True)
 class ConvState:
     """Carried streaming state for one layer: the input history.
@@ -97,10 +114,10 @@ class ConvState:
     ``buf`` is the tail of the padded input fed so far, or ``None`` before a
     stream's first frame.  It is a copy, so a caller that reuses its chunk
     buffer cannot rewrite it, and it pins no more than the tail.  A stride-1
-    plain layer keeps ``left_context`` frames; a transposed layer keeps at
-    most ``max(pad - 1, 0) + (kernel_size - 1) // stride`` frames, the ones
-    its unfinished output columns still need.  ``skip`` counts input frames a strided plain layer still owes its
-    last output hop.  States are immutable; ``*_step`` returns an updated
+    plain layer keeps ``history(spec)`` frames; a transposed layer keeps at
+    most that many, the ones its unfinished output columns still need.
+    ``skip`` counts input frames a strided plain layer still owes its last
+    output hop.  States are immutable; ``*_step`` returns an updated
     copy, so distinct states never alias each other's progress.
     """
 
@@ -131,13 +148,12 @@ def _check_input(spec: ConvSpec, x: np.ndarray) -> None:
 def _pad_left(x: np.ndarray, pad: int, spec: ConvSpec) -> np.ndarray:
     if pad == 0:
         return x
-    if spec.pad_mode != "constant":
-        # ``natural`` layers replicate too, at the absolute start of a stream.
+    if spec.pad_mode == "replicate":
         if x.shape[1] == 0:
             raise ShapeError("cannot replicate-pad an empty sequence")
         fill = np.repeat(x[:, :1], pad, axis=1)
     else:
-        fill = np.full((x.shape[0], pad), spec.pad_value, dtype=DTYPE)
+        fill = np.zeros((x.shape[0], pad), dtype=DTYPE)
     return np.concatenate([fill, x], axis=1)
 
 
@@ -190,17 +206,13 @@ def causal_conv1d_offline(
         x: Input ``[in_channels, length]``.
         w: Kernel ``[out_channels, in_channels, kernel_size]``.
         b: Bias ``[out_channels]``.
-        spec: Layer description; must not be transposed and must use
-            ``constant`` or ``replicate`` padding (``natural`` layers are
-            evaluated through :func:`natural_pad_forward`).
+        spec: Layer description; must not be transposed.
 
     Returns:
         ``[out_channels, ceil(length / stride)]`` output.
     """
     if spec.transposed:
         raise ConfigError("causal_conv1d_offline called with a transposed spec")
-    if spec.pad_mode == "natural":
-        raise ConfigError("natural-pad layers are evaluated via natural_pad_forward")
     _check_input(spec, x)
     _check_kernel(spec, w, b)
     if x.shape[1] == 0:
@@ -222,8 +234,6 @@ def causal_tconv1d_offline(
     """
     if not spec.transposed:
         raise ConfigError("causal_tconv1d_offline called with a non-transposed spec")
-    if spec.pad_mode == "natural":
-        raise ConfigError("natural-pad layers are evaluated via natural_pad_forward")
     _check_input(spec, x)
     _check_kernel(spec, w, b)
     length = x.shape[1]
@@ -300,8 +310,7 @@ def causal_conv1d_step(
     if commit is not None:
         if commit == 0:
             return state, out
-        # At stride 1 the history is exactly left_context frames.
-        return ConvState(buf=x[:, commit : commit + left_context(spec)].copy()), out
+        return ConvState(buf=x[:, commit : commit + history(spec)].copy()), out
     owed = out.shape[1] * spec.stride
     drop = min(owed, x.shape[1])
     return ConvState(buf=x[:, drop:].copy(), skip=skip + owed - drop), out
@@ -313,10 +322,9 @@ def causal_tconv1d_step(
     """Feed one chunk through a causal transposed layer.
 
     Reruns the overlap-add over ``[history; chunk]`` and emits the ``stride``
-    columns of each new frame.  Those columns read at most ``max(pad - 1, 0)
-    + (kernel_size - 1) // stride`` earlier padded input frames, which the
-    state keeps, so concatenated streaming output equals the offline result
-    up to float associativity.
+    columns of each new frame.  Those columns read at most :func:`history`
+    earlier padded input frames, which the state keeps, so concatenated
+    streaming output equals the offline result up to float associativity.
     """
     if not spec.transposed:
         raise ConfigError("causal_tconv1d_step called with a non-transposed spec")
@@ -332,8 +340,7 @@ def causal_tconv1d_step(
     x = _extend(state, chunk, spec)
     h = x.shape[1] - n - shift
     out = _tconv_raw(x, w, spec)[:, h * s : (h + n) * s] + b[:, None]
-    keep = shift + (spec.kernel_size - 1) // s
-    return ConvState(buf=x[:, max(x.shape[1] - keep, 0) :].copy()), out
+    return ConvState(buf=x[:, max(x.shape[1] - history(spec), 0) :].copy()), out
 
 
 def conv_step(
@@ -364,65 +371,47 @@ def total_upsampling(net: list[Layer]) -> int:
     return factor
 
 
-def required_history(net: list[Layer], slice_len: int) -> int:
-    """Preceding frames a natural-mode net needs ahead of a slice.
+def required_history(net: list[Layer]) -> int:
+    """Latent frames of history a slice needs for exact output: the stack's receptive field.
 
-    Runs the length bookkeeping backwards through the stack: a plain layer
-    consuming ``n`` outputs needs ``(n - 1) * stride + dilation * (kernel - 1)
-    + 1`` inputs; a transposed layer producing ``n`` columns after trimming
-    ``stride`` from both ends of the raw overlap-add needs
-    ``ceil((n + 3 * stride - kernel) / stride)`` inputs.  The result is the
-    smallest conservative ``P`` such that evaluating the unpadded network on
-    ``P + slice_len`` frames yields at least ``slice_len *
-    total_upsampling(net)`` columns, with the needed region tail-aligned and
-    free of edge effects.  Monotone (non-decreasing) in ``slice_len``.
+    Folds :func:`history` backwards through the stack: ``h`` frames needed at
+    a plain layer's output are ``h + history`` at its input; at a transposed
+    layer's output they are ``ceil(h / stride) + history`` input frames.
+    Raises :class:`ConfigError` for an empty stack or a strided plain layer.
     """
     if not net:
         raise ConfigError("required_history needs a nonempty layer stack")
-    if slice_len < 1:
-        raise ShapeError(f"slice_len must be >= 1, got {slice_len}")
-    need = slice_len * total_upsampling(net)
+    need = 0
     for spec, _, _ in reversed(net):
         if spec.transposed:
-            k, s = spec.kernel_size, spec.stride
-            need = max(math.ceil((need + 3 * s - k) / s), 1)
-        else:
-            need = (need - 1) * spec.stride + spec.dilation * (spec.kernel_size - 1) + 1
-    return max(need - slice_len, 0)
+            need = math.ceil(need / spec.stride)
+        need += history(spec)
+    return need
 
 
 def natural_pad_forward(
     z_full: np.ndarray, slice_start: int, slice_len: int, net: list[Layer]
-) -> tuple[np.ndarray, bool]:
-    """Evaluate a slice of a latent sequence through an unpadded network.
+) -> np.ndarray:
+    """Evaluate a slice of a latent sequence with real preceding frames as its padding.
 
-    Instead of padding each layer, the slice is extended on the left with
-    ``required_history`` real preceding frames of ``z_full``; when the slice
-    sits too close to the sequence start, the missing history is filled by
-    replicating the first frame.  Every layer runs in valid mode (transposed
-    layers trim ``stride`` columns from both ends of their raw overlap-add)
-    and the final output keeps the last ``slice_len * total_upsampling(net)``
-    columns, which match the tail-aligned region of the offline forward pass
-    of the whole sequence.
+    The slice is extended on the left by ``required_history(net)`` frames of
+    ``z_full``, stopping at frame 0, and the window runs through
+    :func:`net_offline` with the layers' own padding.  The last ``slice_len *
+    total_upsampling(net)`` columns equal the offline output of the whole
+    sequence for the slice's frames, near the start too, where the window
+    starts at frame 0 just as the whole sequence does.
 
     Args:
         z_full: Full latent sequence ``[channels, total_len]``.
         slice_start: First frame of the slice.
         slice_len: Slice length in frames, ``>= 1``.
-        net: Stack of ``(spec, weight, bias)`` layers, all with
-            ``pad_mode == "natural"``.
+        net: Stack of ``(spec, weight, bias)`` layers; plain ones need stride 1.
 
     Returns:
-        ``(out, replicated)`` where ``out`` has exactly ``slice_len *
-        total_upsampling(net)`` columns and ``replicated`` reports whether
-        the start-of-sequence fallback fired.
+        ``[out_channels, slice_len * total_upsampling(net)]`` output.
     """
-    if not net:
-        raise ConfigError("natural_pad_forward needs a nonempty layer stack")
-    for spec, w, b in net:
-        if spec.pad_mode != "natural":
-            raise ConfigError("natural_pad_forward requires every layer to use natural padding")
-        _check_kernel(spec, w, b)
+    hist = required_history(net)
+    _check_input(net[0][0], z_full)
     total = z_full.shape[1]
     if slice_len < 1:
         raise ShapeError(f"slice_len must be >= 1, got {slice_len}")
@@ -430,40 +419,9 @@ def natural_pad_forward(
         raise ShapeError(
             f"slice [{slice_start}, {slice_start + slice_len}) outside sequence of {total}"
         )
-    _check_input(net[0][0], z_full)
-
-    history = required_history(net, slice_len)
-    missing = max(history - slice_start, 0)
-    window = z_full[:, max(slice_start - history, 0) : slice_start + slice_len]
-    if missing:
-        window = np.concatenate([np.repeat(z_full[:, :1], missing, axis=1), window], axis=1)
-
-    x = window
-    for spec, w, b in net:
-        if spec.transposed:
-            s = spec.stride
-            raw = _tconv_raw(x, w, spec)
-            if raw.shape[1] <= 2 * s:
-                raise ShapeError("natural-mode transposed layer ran out of history")
-            x = raw[:, s:-s] + b[:, None]
-        else:
-            x = _conv_valid(x, w, b, spec)
-    target = slice_len * total_upsampling(net)
-    if x.shape[1] < target:
-        raise ShapeError(
-            f"natural forward produced {x.shape[1]} columns, needs {target}; "
-            "history bookkeeping violated"
-        )
-    return np.ascontiguousarray(x[:, x.shape[1] - target :]), missing > 0
-
-
-def natural_to_padded(net: list[Layer]) -> list[Layer]:
-    """Reference view of a natural-mode net with per-layer replicate padding.
-
-    The whole-sequence forward pass of this padded stack is the oracle that
-    ``natural_pad_forward`` slices must match on their tail region.
-    """
-    return [(replace(spec, pad_mode="replicate"), w, b) for spec, w, b in net]
+    first = max(slice_start - hist, 0)
+    out = net_offline(z_full[:, first : slice_start + slice_len], net)
+    return out[:, out.shape[1] - slice_len * total_upsampling(net) :]
 
 
 def net_offline(x: np.ndarray, net: list[Layer]) -> np.ndarray:

@@ -35,6 +35,10 @@ class MelConfig:
     log_floor: float = 1e-5
 
     def __post_init__(self) -> None:
+        for field in ("fmin", "fmax", "log_floor"):
+            value = getattr(self, field)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"MelConfig.{field} must be finite, got {value}")
         if min(self.sample_rate, self.n_fft, self.hop, self.n_mels) < 1:
             raise ConfigError("sample_rate, n_fft, hop, n_mels must be >= 1")
         if self.win() > self.n_fft:

@@ -134,9 +134,11 @@ class ModeFlags:
     """Ablation switches that change the computation graph.
 
     ``natural_padding=True`` makes :func:`build_bundle` give every generator
-    conv ``replicate`` padding (``False`` gives ``constant``).  It does not
-    select :func:`chunkvox.convs.natural_pad_forward`, which, like
-    ``required_history``, no synthesis path calls.
+    conv ``replicate`` padding (``False`` gives zeros).  Padding stands in
+    for missing history only at a stream's start: after that each conv's
+    ``ConvState`` carries the real preceding frames, in every mode.
+    :func:`chunkvox.convs.natural_pad_forward` is the stateless form of that
+    rule for one slice; no synthesis path calls it.
     """
 
     causal_posterior: bool = True

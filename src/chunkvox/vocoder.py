@@ -132,26 +132,28 @@ def _node_specs(cfg: GeneratorConfig, pad_mode: str) -> list[tuple[str, ConvSpec
     return specs
 
 
-def generator_tensor_shapes(cfg: GeneratorConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical tensor names and shapes for a generator of this config."""
+def _tensor_shapes(specs: list[tuple[str, ConvSpec]]) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
-    for name, spec in _node_specs(cfg, "constant"):
+    for name, spec in specs:
         shapes[f"generator.{name}.weight"] = (spec.out_channels, spec.in_channels, spec.kernel_size)
         shapes[f"generator.{name}.bias"] = (spec.out_channels,)
     return shapes
+
+
+def generator_tensor_shapes(cfg: GeneratorConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical tensor names and shapes for a generator of this config."""
+    return _tensor_shapes(_node_specs(cfg, "constant"))
 
 
 class Generator:
     """Executable generator graph over a flat named-tensor mapping."""
 
     def __init__(self, cfg: GeneratorConfig, tensors, pad_mode: str = "replicate"):
-        if pad_mode not in ("constant", "replicate"):
-            raise ConfigError(f"generator pad_mode {pad_mode!r} must be constant or replicate")
         self.cfg = cfg
         self.pad_mode = pad_mode
-        shapes = generator_tensor_shapes(cfg)
+        specs = _node_specs(cfg, pad_mode)
         problems = []
-        for name, shape in shapes.items():
+        for name, shape in _tensor_shapes(specs).items():
             if name not in tensors:
                 problems.append(f"missing tensor {name}")
             elif tuple(tensors[name].shape) != shape:
@@ -167,7 +169,7 @@ class Generator:
                 np.asarray(tensors[f"generator.{name}.weight"], dtype=DTYPE),
                 np.asarray(tensors[f"generator.{name}.bias"], dtype=DTYPE),
             )
-            for name, spec in _node_specs(cfg, pad_mode)
+            for name, spec in specs
         ]
 
     @property

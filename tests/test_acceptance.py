@@ -16,7 +16,6 @@ from chunkvox.acoustic import GaussianParams, LossReport, ScoreSequence, kl_gaus
 from chunkvox.convs import (
     ConvSpec,
     natural_pad_forward,
-    natural_to_padded,
     net_offline,
     net_stream_init,
     net_stream_step,
@@ -120,18 +119,18 @@ def test_criterion_1_streaming_conv_equivalence():
 
 def test_criterion_2_natural_history_arithmetic():
     rng = np.random.default_rng(202)
-    conv = ConvSpec(1, 1, 4, pad_mode="natural")
-    tconv = ConvSpec(1, 1, 4, stride=2, transposed=True, pad_mode="natural")
+    conv = ConvSpec(1, 1, 4, pad_mode="replicate")
+    tconv = ConvSpec(1, 1, 4, stride=2, transposed=True, pad_mode="replicate")
     net = [
         (conv, rng.normal(size=(1, 1, 4)).astype(F32), rng.normal(size=(1,)).astype(F32) * 0.1),
         (tconv, rng.normal(size=(1, 1, 4)).astype(F32), rng.normal(size=(1,)).astype(F32) * 0.1),
     ]
-    hist = required_history(net, 2)
+    hist = required_history(net)
     z = rng.normal(size=(1, 30)).astype(F32)
-    out, replicated = natural_pad_forward(z, 10, 2, net)
-    want = net_offline(z, natural_to_padded(net))[:, 20:24]
+    out = natural_pad_forward(z, 10, 2, net)
+    want = net_offline(z, net)[:, 20:24]
     diff = float(np.abs(out - want).max())
-    ok = hist == 4 and out.shape == (1, 4) and not replicated and diff <= 1e-6
+    ok = hist == 4 and out.shape == (1, 4) and diff <= 1e-6
     report(
         "natural padding arithmetic",
         ok,
@@ -148,7 +147,7 @@ def test_criterion_3_natural_slice_consistency():
         net = rand_natural_net(rng, channels=3)
         up = total_upsampling(net)
         slice_len = int(rng.integers(1, 6))
-        hist = required_history(net, slice_len)
+        hist = required_history(net)
         if hist > 40:
             continue
         nets += 1
@@ -156,10 +155,9 @@ def test_criterion_3_natural_slice_consistency():
         t = hist + slice_len + extra + int(rng.integers(0, 4))
         start = hist + extra
         z = rng.normal(size=(3, t)).astype(F32)
-        out, replicated = natural_pad_forward(z, start, slice_len, net)
-        assert not replicated
+        out = natural_pad_forward(z, start, slice_len, net)
         assert out.shape == (net[-1][0].out_channels, slice_len * up)
-        want = net_offline(z, natural_to_padded(net))[:, start * up : (start + slice_len) * up]
+        want = net_offline(z, net)[:, start * up : (start + slice_len) * up]
         worst = max(worst, float(np.abs(out - want).max()))
     ok = worst <= 1e-6
     report(

@@ -1,6 +1,4 @@
-"""Tests for causal convolutions: offline math, streaming, natural padding."""
-
-from dataclasses import replace
+"""Tests for causal convolutions: offline math, streaming, natural-padding slices."""
 
 import numpy as np
 import pytest
@@ -27,7 +25,6 @@ from chunkvox.convs import (
     init_conv_state,
     left_context,
     natural_pad_forward,
-    natural_to_padded,
     net_offline,
     net_stream_init,
     net_stream_step,
@@ -323,15 +320,14 @@ def streamed_layers(draw):
     """A random plain or transposed layer, its input and a chunking of it."""
     cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     pad_mode = draw(st.sampled_from(["constant", "replicate"]))
-    pad_value = draw(st.sampled_from([0.0, 0.5]))
     if draw(st.booleans()):
         s = draw(st.integers(1, 4))
         k = draw(st.integers(s, 5 * s))
-        spec = ConvSpec(cin, cout, k, stride=s, transposed=True, pad_mode=pad_mode, pad_value=pad_value)
+        spec = ConvSpec(cin, cout, k, stride=s, transposed=True, pad_mode=pad_mode)
     else:
         k = draw(st.integers(1, 5))
         s, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        spec = ConvSpec(cin, cout, k, stride=s, dilation=d, pad_mode=pad_mode, pad_value=pad_value)
+        spec = ConvSpec(cin, cout, k, stride=s, dilation=d, pad_mode=pad_mode)
     # Small chunks, empty ones too, so a history can outgrow the first padded chunk.
     sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -363,6 +359,19 @@ def check_streaming_laws(case):
             assert state.buf.shape[1] == pad
     naive = naive_causal_tconv if spec.transposed else naive_causal_conv
     np.testing.assert_allclose(np.concatenate(outs, axis=1), naive(x, w, b, spec), atol=1e-5)
+    # Slice law: each chunk, evaluated statelessly with real history, is its offline columns.
+    net = [(spec, w, b)]
+    if not spec.transposed and spec.stride != 1:
+        with pytest.raises(ConfigError, match="stride"):
+            natural_pad_forward(x, 0, x.shape[1], net)
+        return
+    up = total_upsampling(net)
+    want = conv_offline(x, w, b, spec)
+    start = 0
+    for n in filter(None, sizes):
+        got = natural_pad_forward(x, start, n, net)
+        np.testing.assert_allclose(got, want[:, start * up : (start + n) * up], atol=1e-5)
+        start += n
 
 
 class TestStreamingLaws:
@@ -372,24 +381,6 @@ class TestStreamingLaws:
         # DeprecationWarning, and warnings-as-errors turns that into an
         # internal error that stops the whole run.
         check_streaming_laws()
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ConvSpec(2, 3, 3, dilation=2, pad_mode="natural"),
-            ConvSpec(2, 3, 4, stride=2, transposed=True, pad_mode="natural"),
-            ConvSpec(2, 3, 9, stride=3, transposed=True, pad_mode="natural"),
-        ],
-    )
-    def test_natural_stream_replicates_the_first_frame(self, spec):
-        rng = np.random.default_rng(13)
-        w = rng.normal(size=(3, 2, spec.kernel_size)).astype(F32)
-        b = rng.normal(size=3).astype(F32)
-        x = (rng.normal(size=(2, 11)) + 3.0).astype(F32)
-        got = stream_layer(x, w, b, spec, [0, 2, 0, 1, 5, 3])
-        replicated = replace(spec, pad_mode="replicate")
-        naive = naive_causal_tconv if spec.transposed else naive_causal_conv
-        np.testing.assert_allclose(got, naive(x, w, b, replicated), atol=1e-5)
 
 
 class TestCommit:
@@ -490,7 +481,8 @@ class TestNoUninitialisedReads:
             np.testing.assert_allclose(got, naive_causal_tconv(x, w, b, spec), atol=1e-5)
 
     def test_tconv_raw_tail_matches_naive(self):
-        """Offline and streaming trims never read the raw tail; natural mode does."""
+        """The raw overlap-add is exact to its last column, the ``kernel_size -
+        stride`` tail included, though no caller reads that tail."""
         rng = np.random.default_rng(32)
         for k, s, m in self.GRID:
             spec = ConvSpec(3, 2, k, stride=s, transposed=True)
@@ -516,49 +508,33 @@ class TestNoUninitialisedReads:
                 np.testing.assert_allclose(got, naive_causal_conv(x, w, b, spec), atol=1e-6)
 
 
+def single_layer(spec):
+    w = np.zeros((spec.out_channels, spec.in_channels, spec.kernel_size), F32)
+    return [(spec, w, np.zeros(spec.out_channels, F32))]
+
+
 class TestRequiredHistory:
     def test_single_conv_k4(self):
-        net = [(ConvSpec(1, 1, 4, pad_mode="natural"), np.zeros((1, 1, 4), F32), np.zeros(1, F32))]
-        assert required_history(net, 1) == 3
-        assert required_history(net, 10) == 3
+        assert required_history(single_layer(ConvSpec(1, 1, 4))) == 3
 
     def test_identity_layer_needs_nothing(self):
-        net = [(ConvSpec(1, 1, 1, pad_mode="natural"), np.ones((1, 1, 1), F32), np.zeros(1, F32))]
-        assert required_history(net, 5) == 0
+        assert required_history(single_layer(ConvSpec(1, 1, 1))) == 0
 
     def test_conv_then_upsample_stack(self):
-        net = [
-            (ConvSpec(1, 1, 4, pad_mode="natural"), np.zeros((1, 1, 4), F32), np.zeros(1, F32)),
-            (
-                ConvSpec(1, 1, 4, stride=2, transposed=True, pad_mode="natural"),
-                np.zeros((1, 1, 4), F32),
-                np.zeros(1, F32),
-            ),
-        ]
-        # backward: need 2*n samples -> tconv needs n+1 frames -> conv needs n+4
-        assert required_history(net, 2) == 4
-
-    def test_monotone_in_slice_len(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            net = rand_natural_net(rng, channels=2)
-            prev = 0
-            for n in (1, 2, 3, 5, 8, 13):
-                p = required_history(net, n)
-                assert p >= 0
-                assert p >= prev - (n - 1)  # never decreasing as a window
-                prev = p
-            assert required_history(net, 1) <= required_history(net, 50) + 0
+        conv = single_layer(ConvSpec(1, 1, 4))
+        tconv = single_layer(ConvSpec(1, 1, 4, stride=2, transposed=True))
+        # backward: a tconv k4 s2 reads 1 frame before each frame; the conv 3 more
+        assert required_history(conv + tconv) == 4
 
     def test_empty_net_rejected(self):
         with pytest.raises(ConfigError):
-            required_history([], 1)
+            required_history([])
 
 
 class TestNaturalPadding:
     def make_two_layer_net(self, rng):
-        conv = ConvSpec(1, 1, 4, pad_mode="natural")
-        tconv = ConvSpec(1, 1, 4, stride=2, transposed=True, pad_mode="natural")
+        conv = ConvSpec(1, 1, 4, pad_mode="replicate")
+        tconv = ConvSpec(1, 1, 4, stride=2, transposed=True, pad_mode="replicate")
         wc = rng.normal(size=(1, 1, 4)).astype(F32)
         bc = rng.normal(size=(1,)).astype(F32) * 0.1
         wt = rng.normal(size=(1, 1, 4)).astype(F32)
@@ -569,17 +545,13 @@ class TestNaturalPadding:
         rng = np.random.default_rng(12)
         net = self.make_two_layer_net(rng)
         z = rng.normal(size=(1, 30)).astype(F32)
-        out, replicated = natural_pad_forward(z, 10, 2, net)
+        out = natural_pad_forward(z, 10, 2, net)
         assert out.shape == (1, 4)
-        assert replicated is False
-        want = net_offline(z, natural_to_padded(net))
-        np.testing.assert_allclose(out, want[:, 10 * 2 : 12 * 2], atol=1e-6)
+        np.testing.assert_allclose(out, net_offline(z, net)[:, 10 * 2 : 12 * 2], atol=1e-6)
 
     def test_degenerate_whole_sequence_slice(self):
-        """Conv-stack (+ final upsampler) slices over the whole sequence equal
-        the replicate-padded offline pass.  Nets where a later layer consumes
-        a transposed layer's replicated startup history only agree beyond the
-        history horizon; that is covered by the next test."""
+        """A slice over the whole sequence is the offline pass of conv stacks
+        with an optional final upsampler."""
         rng = np.random.default_rng(13)
         for _ in range(10):
             n_convs = int(rng.integers(1, 4))
@@ -589,7 +561,7 @@ class TestNaturalPadding:
                 cout = int(rng.integers(1, 4))
                 k = int(rng.integers(1, 5))
                 dil = int(rng.integers(1, 3))
-                spec = ConvSpec(cin, cout, k, dilation=dil, pad_mode="natural")
+                spec = ConvSpec(cin, cout, k, dilation=dil, pad_mode="replicate")
                 net.append(
                     (
                         spec,
@@ -600,7 +572,7 @@ class TestNaturalPadding:
                 cin = cout
             if rng.random() < 0.7:
                 s = int(rng.integers(2, 4))
-                spec = ConvSpec(cin, 2, 2 * s, stride=s, transposed=True, pad_mode="natural")
+                spec = ConvSpec(cin, 2, 2 * s, stride=s, transposed=True, pad_mode="replicate")
                 net.append(
                     (
                         spec,
@@ -610,31 +582,23 @@ class TestNaturalPadding:
                 )
             t = int(rng.integers(3, 20))
             z = rng.normal(size=(2, t)).astype(F32)
-            out, replicated = natural_pad_forward(z, 0, t, net)
-            assert replicated is True or required_history(net, t) == 0
-            want = net_offline(z, natural_to_padded(net))
+            out = natural_pad_forward(z, 0, t, net)
+            want = net_offline(z, net)
             assert out.shape == want.shape
             np.testing.assert_allclose(out, want, atol=1e-4)
 
     def test_degenerate_slice_tail_matches_for_general_nets(self):
         """For arbitrary stacks the whole-sequence slice agrees with the
-        replicate-padded offline pass on every column whose receptive field
-        lies in real frames."""
+        offline pass on every column."""
         rng = np.random.default_rng(23)
         for _ in range(15):
             net = rand_natural_net(rng, channels=2)
-            up = total_upsampling(net)
             t = int(rng.integers(8, 24))
             z = rng.normal(size=(2, t)).astype(F32)
-            out, _ = natural_pad_forward(z, 0, t, net)
-            want = net_offline(z, natural_to_padded(net))
+            out = natural_pad_forward(z, 0, t, net)
+            want = net_offline(z, net)
             assert out.shape == want.shape
-            s0 = next(
-                (s for s in range(1, t) if required_history(net, t - s) <= s), None
-            )
-            if s0 is None or s0 >= t:
-                continue
-            np.testing.assert_allclose(out[:, s0 * up :], want[:, s0 * up :], atol=1e-4)
+            np.testing.assert_allclose(out, want, atol=1e-4)
 
     def test_interior_slices_match_offline_tail_region(self):
         rng = np.random.default_rng(14)
@@ -642,24 +606,28 @@ class TestNaturalPadding:
             net = rand_natural_net(rng, channels=3)
             up = total_upsampling(net)
             slice_len = int(rng.integers(1, 6))
-            hist = required_history(net, slice_len)
+            hist = required_history(net)
             total = hist + slice_len + int(rng.integers(0, 10))
             z = rng.normal(size=(3, total)).astype(F32)
             start = int(rng.integers(hist, total - slice_len + 1))
-            out, replicated = natural_pad_forward(z, start, slice_len, net)
-            assert replicated is False
+            out = natural_pad_forward(z, start, slice_len, net)
             assert out.shape[1] == slice_len * up
-            want = net_offline(z, natural_to_padded(net))
+            want = net_offline(z, net)
             region = want[:, start * up : (start + slice_len) * up]
             np.testing.assert_allclose(out, region, atol=1e-4)
 
     def test_replicate_fallback_flag_near_start(self):
+        """Closer to the start than the history, the window stops at frame 0
+        and the layers' replicate padding stands in for the missing frames,
+        exactly as in the offline pass."""
         rng = np.random.default_rng(15)
         net = self.make_two_layer_net(rng)
         z = rng.normal(size=(1, 20)).astype(F32)
-        out, replicated = natural_pad_forward(z, 1, 2, net)
-        assert replicated is True
-        assert out.shape == (1, 4)
+        want = net_offline(z, net)
+        for start in range(required_history(net) + 1):
+            out = natural_pad_forward(z, start, 2, net)
+            assert out.shape == (1, 4)
+            np.testing.assert_allclose(out, want[:, 2 * start : 2 * start + 4], atol=1e-6)
 
     def test_consecutive_slices_tile_the_offline_output(self):
         """Adjacent interior slices concatenate into the offline region."""
@@ -667,8 +635,8 @@ class TestNaturalPadding:
         net = self.make_two_layer_net(rng)
         z = rng.normal(size=(1, 40)).astype(F32)
         up = total_upsampling(net)
-        want = net_offline(z, natural_to_padded(net))
-        pieces = [natural_pad_forward(z, start, 4, net)[0] for start in (8, 12, 16, 20)]
+        want = net_offline(z, net)
+        pieces = [natural_pad_forward(z, start, 4, net) for start in (8, 12, 16, 20)]
         got = np.concatenate(pieces, axis=1)
         np.testing.assert_allclose(got, want[:, 8 * up : 24 * up], atol=1e-5)
 
@@ -680,12 +648,8 @@ class TestNaturalPadding:
             natural_pad_forward(z, 9, 2, net)
         with pytest.raises(ShapeError):
             natural_pad_forward(z, -1, 2, net)
-
-    def test_non_natural_layers_rejected(self):
-        spec = ConvSpec(1, 1, 3, pad_mode="constant")
-        net = [(spec, np.zeros((1, 1, 3), F32), np.zeros(1, F32))]
-        with pytest.raises(ConfigError):
-            natural_pad_forward(np.zeros((1, 8), F32), 4, 2, net)
+        with pytest.raises(ShapeError):
+            natural_pad_forward(z[0], 4, 2, net)
 
 
 class TestDispatchers:

@@ -1,4 +1,4 @@
-"""Lint: every module of the package and of the tests uses what it imports.
+"""Lint: every module of the package, the tests and perfbench uses what it imports.
 
 A standard-library AST scan, so it runs wherever the tests run.  Package
 ``__init__.py`` files only re-export and ``from __future__`` imports bind
@@ -27,7 +27,9 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_no_unused_imports():
-    paths = sorted([*ROOT.glob("src/chunkvox/*.py"), *ROOT.glob("tests/*.py")])
+    paths = sorted(
+        [*ROOT.glob("src/chunkvox/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]
+    )
     assert len(paths) > 10
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"

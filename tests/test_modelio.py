@@ -317,6 +317,18 @@ class TestConfigSchema:
         with pytest.raises(FormatError, match=rf"config {section}\.{key} must be "):
             config_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("fmin", "NaN"), ("fmin", "-Infinity"), ("fmax", "NaN"), ("log_floor", "Infinity")],
+    )
+    def test_non_finite_mel_value_rejected_naming_the_field(self, key, value):
+        obj = config_to_json(tiny_config())
+        obj["mel"][key] = float(value)
+        text = json.dumps(obj)
+        assert value in text  # the JSON literal, which Python's json reads back as a float
+        with pytest.raises(ConfigError, match=rf"MelConfig\.{key} must be finite"):
+            config_from_json(json.loads(text))
+
     def test_int_accepted_for_float_and_null_for_optional(self):
         obj = config_to_json(tiny_config())
         obj["mel"]["fmin"] = 0
