@@ -28,6 +28,7 @@ to full self-attention (see :func:`full_attention_oracle`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -36,6 +37,11 @@ import numpy as np
 from .convs import ConvSpec, ConvState, causal_conv1d_offline, causal_conv1d_step, init_conv_state
 from .errors import ConfigError, SequencingError, ShapeError
 from .kernels import DTYPE, layer_norm, matmul, relu, softmax
+
+# Query rows per attention block in full_attention_layer: a t-frame sequence
+# holds at most ATTENTION_BLOCK * t scores per head at a time, 4.9 MB at
+# 4,800 frames.  Sequences this short or shorter run as one block.
+ATTENTION_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -452,15 +458,46 @@ def chunkstream_decode(
     return out
 
 
+def full_attention_layer(
+    x: np.ndarray, w: AttentionLayerWeights, cfg: ChunkConfig, block: int = ATTENTION_BLOCK
+) -> np.ndarray:
+    """One decoder layer over a whole sequence, every query over every frame.
+
+    The twin of :func:`chunk_attention_layer` without chunks, memory bank or
+    cache.  Keys and values are projected once over all ``t`` rows; the
+    queries then run in blocks of at most ``block`` rows, each through layer
+    norm, attention over all keys, residual and feed-forward, so no
+    temporary holds more than ``block * t`` scores.  Softmax is per row, so
+    only BLAS rounding can tell block sizes apart.  Smoothing is not applied
+    here.
+    """
+    t = x.shape[0]
+    # Blocks of equal size: a one-row remainder would go to BLAS gemv and
+    # round differently from the rows of a wider block.
+    size = max(1, math.ceil(t / max(1, math.ceil(t / block))))
+    keys = matmul(x, w.w_k)
+    vals = matmul(x, w.w_v)
+    out = np.empty((t, cfg.hidden), dtype=DTYPE)
+    for lo in range(0, t, size):
+        rows = x[lo : lo + size]
+        xn = layer_norm(rows, w.attn_norm_gamma, w.attn_norm_beta)
+        h = _mha(matmul(xn, w.w_q), keys, vals, w.w_out, cfg.num_heads) + rows
+        out[lo : lo + size] = _ffn_block(h, w)
+    return out
+
+
 def full_attention_oracle(
     frames: np.ndarray, cfg: ChunkConfig, weights: list[AttentionLayerWeights]
 ) -> np.ndarray:
     """Quadratic full self-attention evaluation of the same layer stack.
 
     No chunking, no memory bank, no key/value cache: every query attends over
-    every frame.  Doubles as the non-streaming decoding path and as the
-    reference the streaming decoder must match when its chunk covers the
-    whole sequence with no lookahead and no memory.
+    every frame.  Each layer is one :func:`full_attention_layer`, whose
+    query blocks keep memory at ``O(ATTENTION_BLOCK * t)`` rather than
+    ``O(t^2)``, then one offline smoothing pass over the whole sequence.
+    Doubles as the non-streaming decoding path and as the reference the
+    streaming decoder must match when its chunk covers the whole sequence
+    with no lookahead and no memory.
     """
     if len(weights) != cfg.num_layers:
         raise ConfigError(f"{len(weights)} weight sets for {cfg.num_layers} layers")
@@ -470,11 +507,7 @@ def full_attention_oracle(
     if x.shape[0] == 0:
         return x
     for w in weights:
-        xn = layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta)
-        keys = matmul(x, w.w_k)
-        vals = matmul(x, w.w_v)
-        x = _mha(matmul(xn, w.w_q), keys, vals, w.w_out, cfg.num_heads) + x
-        x = _ffn_block(x, w)
+        x = full_attention_layer(x, w, cfg)
         if cfg.use_smooth:
             assert w.smooth is not None
             x = _smooth_offline(x, w.smooth, cfg)

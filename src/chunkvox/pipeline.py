@@ -2,12 +2,13 @@
 
 The three decoding modes are schedules of one chunk loop,
 :func:`synth_chunks`: decoded blocks go through the prior, take the
-seeded noise rows at their frame offset, and are vocoded into audio.
-The mode only picks how blocks are decoded and vocoded:
+seeded noise rows at their frame offset, and are vocoded into audio by
+the streaming vocoder.  The mode only picks how blocks are decoded and
+how the vocoder's output is cut:
 
-* ``parallel``: one full self-attention block and one offline vocoder
-  pass.  Nothing is incremental, so time to first audio equals total
-  processing time.
+* ``parallel``: one full self-attention block, vocoded in tiles of
+  ``PARALLEL_TILE`` frames into one buffer that is yielded once.  Nothing
+  is emitted early, so time to first audio equals total processing time.
 * ``semi``: one full self-attention block, vocoded ``chunk_size`` frames
   at a time; audio exists as soon as the first chunk is vocoded.
 * ``full``: the chunkwise streaming decoder emits ``chunk_size`` blocks,
@@ -15,7 +16,10 @@ The mode only picks how blocks are decoded and vocoded:
   the chunk geometry.
 
 All modes consume the same seeded noise rows in frame order, so their
-outputs are comparable sample for sample.
+outputs are comparable sample for sample.  Memory grows linearly with
+the score in every mode: full attention works in row blocks (see
+:func:`chunkvox.decoder.full_attention_layer`) and the vocoder in tiles
+or chunks, so only per-frame rows and the output span the whole score.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ VERIFY_CHECKS = (
     "finite",
 )
 _F0_SCALE = 8.0
+# Latent frames per Generator.stream call in parallel mode: the vocoder's
+# temporaries span at most 64 * hop samples per node, whatever the score's
+# length.  Tiles of chunk_size (20) frames would pay the per-call cost
+# three times as often.
+PARALLEL_TILE = 64
 
 
 def note_to_hz(note: int) -> float:
@@ -173,21 +182,26 @@ def _chunk_loop(
     frames: np.ndarray, eps: np.ndarray, bundle: ModelBundle, mode: str
 ) -> Iterator[np.ndarray]:
     gen = bundle.generator
-    step = bundle.config.chunk.chunk_size
-    state = None if mode == "parallel" else gen.create_state()
+    if mode == "parallel":
+        tile, wav = PARALLEL_TILE, np.empty(frames.shape[0] * gen.hop, dtype=DTYPE)
+    else:
+        tile, wav = bundle.config.chunk.chunk_size, None
+    state = gen.create_state()
     done = index = 0
     for decoded in _decoded_blocks(frames, bundle, mode):
         mu, sigma = _prior_split(decoded, bundle)
         z = (mu + sigma * eps[done : done + decoded.shape[0]]).T
-        done += decoded.shape[0]
-        if mode == "parallel":
-            yield _finite(gen.offline(z), index)
-            index += 1
-        else:
-            for lo in range(0, z.shape[1], step):
-                state, audio = gen.stream(state, z[:, lo : lo + step])
+        for lo in range(0, z.shape[1], tile):
+            state, audio = gen.stream(state, z[:, lo : lo + tile])
+            if wav is None:
                 yield _finite(audio, index)
                 index += 1
+            else:
+                start = (done + lo) * gen.hop
+                wav[start : start + audio.shape[0]] = audio
+        done += decoded.shape[0]
+    if wav is not None:
+        yield _finite(wav, 0)
 
 
 def _finite(audio: np.ndarray, index: int) -> np.ndarray:

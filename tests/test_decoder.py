@@ -14,6 +14,7 @@ from chunkvox.decoder import (
     causal_smooth_layer,
     chunk_attention_layer,
     chunkstream_decode,
+    full_attention_layer,
     full_attention_oracle,
     init_decoder_state,
     summary_vector,
@@ -21,6 +22,8 @@ from chunkvox.decoder import (
 )
 from chunkvox.errors import ConfigError, SequencingError, ShapeError
 from chunkvox.kernels import layer_norm, matmul, relu, softmax
+
+from test_modelio import tiny_config
 
 F32 = np.float32
 
@@ -223,6 +226,19 @@ class TestFullAttentionOracle:
         )
         got = full_attention_oracle(x, cfg, [w])
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+    @pytest.mark.parametrize("t", [1, 5, 17])
+    def test_row_blocks_match_one_block(self, t):
+        """Query blocks of 3 rows reproduce the one-block layer: softmax is per
+        row, so only BLAS rounding can differ."""
+        rng = np.random.default_rng(40 + t)
+        cfg = tiny_config().chunk
+        x = rand_frames(rng, t, cfg.hidden)
+        for w in rand_decoder_weights(rng, cfg):
+            whole = full_attention_layer(x, w, cfg, block=t)
+            blocked = full_attention_layer(x, w, cfg, block=3)
+            np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-6)
+            x = whole
 
     def test_empty_sequence(self):
         rng = np.random.default_rng(4)

@@ -19,8 +19,10 @@ from chunkvox.modelio import (
     save_config,
     save_weights,
 )
+from chunkvox.decoder import full_attention_oracle
 from chunkvox.pipeline import (
     MODES,
+    PARALLEL_TILE,
     VERIFY_CHECKS,
     StreamMetrics,
     bench,
@@ -31,6 +33,7 @@ from chunkvox.pipeline import (
     synth_chunks,
     verify,
     write_wav,
+    _prior_split,
 )
 
 from test_modelio import tiny_config
@@ -141,6 +144,34 @@ class TestSynth:
         b, _ = synth(score, bundle, mode="semi", eps_seed=3)
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, atol=1e-5)
+
+    def test_parallel_tiles_match_the_offline_vocoder(self, bundle, monkeypatch):
+        """Parallel audio, streamed in tiles, equals one offline vocoder pass.
+
+        Criterion 8 compares two stream schedules; this keeps a check against
+        ``Generator.offline`` on the same latents.  The score spans three
+        whole tiles and a partial one.
+        """
+        frames = 3 * PARALLEL_TILE + 17
+        score = ScoreSequence(phonemes=(1, 2), notes=(60, 67), durations=(100, frames - 100))
+        stream, widths = bundle.generator.stream, []
+
+        def spy(state, z):
+            widths.append(z.shape[1])
+            return stream(state, z)
+
+        monkeypatch.setattr(bundle.generator, "stream", spy)
+        got, _ = synth(score, bundle, mode="parallel", eps_seed=8)
+        assert widths == [PARALLEL_TILE] * 3 + [17]
+
+        decoded = full_attention_oracle(
+            score_to_frames(score, bundle), bundle.config.chunk, bundle.decoder_weights
+        )
+        mu, sigma = _prior_split(decoded, bundle)
+        eps = np.random.default_rng(8).standard_normal((frames, bundle.config.latent_dim))
+        want = bundle.generator.offline((mu + sigma * eps.astype(np.float32)).T)
+        assert got.shape == want.shape == (frames * bundle.generator.hop,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
     def test_full_mode_close_to_parallel_with_generous_context(self):
         # With chunk covering the whole sequence and no memory, streaming
