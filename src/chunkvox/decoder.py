@@ -5,17 +5,21 @@ Frames are processed in fixed-size chunks.  For chunk ``i`` with body ``C``
 (the next ``right_context`` frames), each layer makes one pass over
 ``X = [C; R]``:
 
-  * keys/values concatenate, in order: projections of the memory bank, the
-    cached key/value projections of the previous chunks' last
-    ``left_context`` frames, and projections of the raw ``X``; the memory
-    bank and ``X`` go through each projection together;
+  * keys and values sit side by side in one ``[rows, 2 * hidden]`` K|V
+    array, in row order: the cached projections of the previous chunks'
+    last ``left_context`` body frames, then projections of the raw ``X``,
+    then projections of the memory bank; ``X`` and the bank go through
+    each projection together, written straight into the array;
   * the queries are the layer-normed ``X`` plus one summary query, the mean
-    of raw ``C``; a single attention call serves all of them;
+    of raw ``C``; a single attention call serves all of them, with every
+    head in one batched product, one softmax and one product with the
+    values;
   * the summary row of the attention output, without residual, is the
     memory vector that layer ``n + 1`` consumes at chunk ``i + 1``;
   * the other rows get a residual from ``X``, then one feed-forward block
     with post-residual layer norm;
-  * the body rows' key/value projections become the left cache;
+  * the left cache becomes the last ``left_context`` K|V rows of the
+    previous cache and the body, which are adjacent in the array;
   * an optional causal smoothing layer (conv -> norm, twice) runs once over
     ``X``; each conv's carried state is cut at the end of the body, so
     lookahead frames are smoothed but never enter committed history.
@@ -39,8 +43,9 @@ from .errors import ConfigError, SequencingError, ShapeError
 from .kernels import DTYPE, layer_norm, matmul, relu, softmax
 
 # Query rows per attention block in full_attention_layer: a t-frame sequence
-# holds at most ATTENTION_BLOCK * t scores per head at a time, 4.9 MB at
-# 4,800 frames.  Sequences this short or shorter run as one block.
+# holds at most ATTENTION_BLOCK * t scores per head, all heads at once, 9.8 MB
+# for two heads at 4,800 frames.  Sequences this short or shorter run as one
+# block.
 ATTENTION_BLOCK = 256
 
 
@@ -181,16 +186,24 @@ def decoder_tensor_shapes(cfg: ChunkConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class SmoothState:
+    """Both smoothing convs' carried history, and the spec they share."""
+
     conv1: ConvState
     conv2: ConvState
+    spec: ConvSpec
 
 
 @dataclass
 class _LayerState:
-    """Per-layer streaming caches."""
+    """Per-layer streaming caches.
 
-    k_left: np.ndarray
-    v_left: np.ndarray
+    ``kv_left`` holds the key projections of the last ``left_context`` body
+    frames in its first ``hidden`` columns and their value projections in
+    the rest.  ``memory`` is the bank, oldest first, one ``[1, hidden]``
+    row per entry.
+    """
+
+    kv_left: np.ndarray
     memory: list[np.ndarray] = field(default_factory=list)
     smooth: SmoothState | None = None
 
@@ -207,16 +220,16 @@ def _smooth_conv_spec(cfg: ChunkConfig) -> ConvSpec:
 
 
 def init_decoder_state(cfg: ChunkConfig) -> DecoderState:
-    empty = np.zeros((0, cfg.hidden), dtype=DTYPE)
+    empty = np.zeros((0, 2 * cfg.hidden), dtype=DTYPE)
     spec = _smooth_conv_spec(cfg)
     layers = []
     for _ in range(cfg.num_layers):
         smooth = (
-            SmoothState(conv1=init_conv_state(spec), conv2=init_conv_state(spec))
+            SmoothState(conv1=init_conv_state(spec), conv2=init_conv_state(spec), spec=spec)
             if cfg.use_smooth
             else None
         )
-        layers.append(_LayerState(k_left=empty, v_left=empty, smooth=smooth))
+        layers.append(_LayerState(kv_left=empty, smooth=smooth))
     return DecoderState(layers=layers)
 
 
@@ -224,28 +237,40 @@ def summary_vector(chunk: np.ndarray) -> np.ndarray:
     """Mean of the chunk body frames, shape ``[hidden]``."""
     if chunk.ndim != 2 or chunk.shape[0] == 0:
         raise ShapeError(f"summary_vector needs a nonempty [frames, hidden] chunk, got {chunk.shape}")
-    return chunk.mean(axis=0)
+    # The sum np.mean takes, without its Python wrapper; equal bit for bit.
+    return np.add.reduce(chunk, axis=0) / chunk.shape[0]
 
 
 def _mha(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, w_out: np.ndarray, num_heads: int
 ) -> np.ndarray:
-    """Multi-head scaled dot-product attention with output projection."""
-    tq, d = q.shape
-    dh = d // num_heads
-    scale = DTYPE(1.0 / np.sqrt(dh))
-    out = np.empty((tq, d), dtype=DTYPE)
-    for h in range(num_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = matmul(q[:, sl], k[:, sl].T) * scale
-        out[:, sl] = matmul(softmax(scores, axis=-1), v[:, sl])
+    """Multi-head scaled dot-product attention with output projection.
+
+    ``q`` is ``[tq, d]`` and is scaled by ``1/sqrt(dh)`` in place; ``k`` and
+    ``v`` are ``[tk, d]`` and may be column views of one K|V array.  All
+    heads go through one batched product for the scores, one softmax in
+    place on them, and one batched product with the values, which lands
+    each head in its columns of the ``[tq, d]`` input to ``w_out``.  The
+    ``[h, tq, tk]`` scores are the one large temporary.
+    """
+    heads = (-1, num_heads, q.shape[1] // num_heads)
+    q *= DTYPE(1.0 / np.sqrt(heads[2]))
+    scores = matmul(q.reshape(heads).transpose(1, 0, 2), k.reshape(heads).transpose(1, 2, 0))
+    probs = softmax(scores, axis=-1, out=scores)
+    out = np.empty_like(q)
+    matmul(probs, v.reshape(heads).transpose(1, 0, 2), out=out.reshape(heads).transpose(1, 0, 2))
     return matmul(out, w_out)
 
 
 def _ffn_block(h: np.ndarray, w: AttentionLayerWeights) -> np.ndarray:
-    """Feed-forward with residual and post-residual layer norm."""
-    inner = relu(matmul(h, w.ffn_w1) + w.ffn_b1)
-    return layer_norm(h + matmul(inner, w.ffn_w2) + w.ffn_b2, w.ffn_norm_gamma, w.ffn_norm_beta)
+    """Feed-forward with residual and post-residual layer norm; ``h`` is kept."""
+    inner = matmul(h, w.ffn_w1)
+    inner += w.ffn_b1
+    relu(inner, out=inner)
+    y = matmul(inner, w.ffn_w2)
+    y += h
+    y += w.ffn_b2
+    return layer_norm(y, w.ffn_norm_gamma, w.ffn_norm_beta, out=y)
 
 
 def causal_smooth_layer(
@@ -262,14 +287,25 @@ def causal_smooth_layer(
     ``commit`` the whole chunk is smoothed but the state advances over its
     first ``commit`` frames only (see :func:`causal_conv1d_step`).
     """
-    spec = _smooth_conv_spec(cfg)
+    spec = state.spec
     if chunk.shape[0] == 0:
         return chunk, state
     s1, y = causal_conv1d_step(state.conv1, chunk.T, w.conv1_w, w.conv1_b, spec, commit)
-    y = layer_norm(y.T, w.norm1_gamma, w.norm1_beta)
+    y = _norm_frames(y, w.norm1_gamma, w.norm1_beta)
     s2, y2 = causal_conv1d_step(state.conv2, y.T, w.conv2_w, w.conv2_b, spec, commit)
-    out = layer_norm(y2.T, w.norm2_gamma, w.norm2_beta)
-    return out, SmoothState(conv1=s1, conv2=s2)
+    out = _norm_frames(y2, w.norm2_gamma, w.norm2_beta)
+    return out, SmoothState(conv1=s1, conv2=s2, spec=spec)
+
+
+def _norm_frames(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Layer-norm a conv's ``[hidden, frames]`` output into ``[frames, hidden]`` rows.
+
+    The rows are made contiguous first.  Normalizing the strided transpose
+    in place reduces each row across ``hidden`` short runs, and at chunk
+    sizes that took 1.7x as long as the copy and a contiguous norm.
+    """
+    rows = np.ascontiguousarray(y.T)
+    return layer_norm(rows, gamma, beta, out=rows)
 
 
 def _smooth_offline(x: np.ndarray, w: SmoothWeights, cfg: ChunkConfig) -> np.ndarray:
@@ -277,9 +313,9 @@ def _smooth_offline(x: np.ndarray, w: SmoothWeights, cfg: ChunkConfig) -> np.nda
     if x.shape[0] == 0:
         return x
     y = causal_conv1d_offline(x.T, w.conv1_w, w.conv1_b, spec)
-    y = layer_norm(y.T, w.norm1_gamma, w.norm1_beta)
+    y = _norm_frames(y, w.norm1_gamma, w.norm1_beta)
     y2 = causal_conv1d_offline(y.T, w.conv2_w, w.conv2_b, spec)
-    return layer_norm(y2.T, w.norm2_gamma, w.norm2_beta)
+    return _norm_frames(y2, w.norm2_gamma, w.norm2_beta)
 
 
 def chunk_attention_layer(
@@ -289,7 +325,7 @@ def chunk_attention_layer(
     layer: int,
     w: AttentionLayerWeights,
     cfg: ChunkConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer over one chunk.
 
     Args:
@@ -302,9 +338,10 @@ def chunk_attention_layer(
         cfg: Decoder configuration.
 
     Returns:
-        ``(body_out, lookahead_out, memory_vec)`` where ``memory_vec`` is the
-        summary-attention output destined for layer ``layer + 1`` at the next
-        chunk.
+        ``(out, memory_vec)``: ``out`` is ``[n + r, hidden]``, the body
+        outputs then the lookahead outputs; ``memory_vec`` is the
+        summary-attention output destined for layer ``layer + 1`` at the
+        next chunk.
     """
     if body.shape[0] == 0:
         raise ShapeError("chunk body must contain at least one frame")
@@ -313,26 +350,31 @@ def chunk_attention_layer(
             f"chunk width {body.shape[1]}/{lookahead.shape[1]} does not match hidden {cfg.hidden}"
         )
     ls = state.layers[layer]
-    n, m = body.shape[0], len(ls.memory)
+    n, nr, d = body.shape[0], body.shape[0] + lookahead.shape[0], cfg.hidden
+    left = ls.kv_left.shape[0]
 
-    x = np.concatenate([body, lookahead], axis=0)
-    src = np.vstack([*ls.memory, x])
-    k_src = matmul(src, w.w_k)
-    v_src = matmul(src, w.w_v)
-    keys = np.concatenate([k_src[:m], ls.k_left, k_src[m:]], axis=0)
-    vals = np.concatenate([v_src[:m], ls.v_left, v_src[m:]], axis=0)
+    # Key/value rows: left cache, then [body; lookahead], then the memory bank.
+    src = np.concatenate([body, lookahead, *ls.memory])
+    x = src[:nr]
+    kv = np.empty((left + src.shape[0], 2 * d), dtype=DTYPE)
+    kv[:left] = ls.kv_left
+    matmul(src, w.w_k, out=kv[left:, :d])
+    matmul(src, w.w_v, out=kv[left:, d:])
 
-    xn = layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta)
-    queries = matmul(np.vstack([xn, summary_vector(body)]), w.w_q)
-    attn = _mha(queries, keys, vals, w.w_out, cfg.num_heads)
+    # Query rows: the layer-normed [body; lookahead], then the summary query.
+    queries = np.empty((nr + 1, d), dtype=DTYPE)
+    layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta, out=queries[:nr])
+    queries[nr] = summary_vector(x[:n])
+    attn = _mha(matmul(queries, w.w_q), kv[:, :d], kv[:, d:], w.w_out, cfg.num_heads)
 
     if cfg.left_context > 0:
-        ls.k_left = np.concatenate([ls.k_left, k_src[m : m + n]], axis=0)[-cfg.left_context :]
-        ls.v_left = np.concatenate([ls.v_left, v_src[m : m + n]], axis=0)[-cfg.left_context :]
+        # The cached rows and the body rows are adjacent in kv.
+        ls.kv_left = kv[max(0, left + n - cfg.left_context) : left + n].copy()
 
     # The last row answers the summary query: the memory vector, no residual.
-    out = _ffn_block(attn[:-1] + x, w)
-    return out[:n], out[n:], attn[-1]
+    h = attn[:nr]
+    h += x
+    return _ffn_block(h, w), attn[nr]
 
 
 class DecoderStream:
@@ -415,30 +457,24 @@ class DecoderStream:
 
     def _run_chunk(self) -> np.ndarray:
         cfg = self.cfg
-        body = self._buf[: cfg.chunk_size]
-        look = self._buf[cfg.chunk_size : cfg.chunk_size + cfg.right_context]
-        n = body.shape[0]
+        x = self._buf[: cfg.chunk_size + cfg.right_context]
+        n = min(cfg.chunk_size, x.shape[0])
         new_memories = []
         for i, w in enumerate(self.weights):
-            body, look, mem = chunk_attention_layer(body, look, self.state, i, w, cfg)
+            x, mem = chunk_attention_layer(x[:n], x[n:], self.state, i, w, cfg)
             if cfg.use_smooth:
                 ls = self.state.layers[i]
                 assert w.smooth is not None and ls.smooth is not None
                 # Committed conv history only ever contains body frames.
-                x, ls.smooth = causal_smooth_layer(
-                    np.concatenate([body, look], axis=0), ls.smooth, w.smooth, cfg, commit=n
-                )
-                # The norm leaves rows strided; the next layer wants them contiguous.
-                x = np.ascontiguousarray(x)
-                body, look = x[:n], x[n:]
+                x, ls.smooth = causal_smooth_layer(x, ls.smooth, w.smooth, cfg, commit=n)
             new_memories.append(mem)
         if cfg.memory_slots > 0:
             for i, mem in enumerate(new_memories[:-1]):
                 bank = self.state.layers[i + 1].memory
-                bank.append(mem)
+                bank.append(mem[None])
                 del bank[: max(0, len(bank) - cfg.memory_slots)]
         self._buf = self._buf[n:]
-        return body
+        return x[:n]
 
 
 def chunkstream_decode(
@@ -467,7 +503,7 @@ def full_attention_layer(
     cache.  Keys and values are projected once over all ``t`` rows; the
     queries then run in blocks of at most ``block`` rows, each through layer
     norm, attention over all keys, residual and feed-forward, so no
-    temporary holds more than ``block * t`` scores.  Softmax is per row, so
+    temporary holds more than ``block * t`` scores per head.  Softmax is per row, so
     only BLAS rounding can tell block sizes apart.  Smoothing is not applied
     here.
     """
@@ -481,7 +517,8 @@ def full_attention_layer(
     for lo in range(0, t, size):
         rows = x[lo : lo + size]
         xn = layer_norm(rows, w.attn_norm_gamma, w.attn_norm_beta)
-        h = _mha(matmul(xn, w.w_q), keys, vals, w.w_out, cfg.num_heads) + rows
+        h = _mha(matmul(xn, w.w_q), keys, vals, w.w_out, cfg.num_heads)
+        h += rows
         out[lo : lo + size] = _ffn_block(h, w)
     return out
 

@@ -308,6 +308,35 @@ class TestStreamingBehavior:
             other = chunkstream_decode(x2, SMALL, w)
             assert np.array_equal(base[: SMALL.chunk_size], other[: SMALL.chunk_size])
 
+    @pytest.mark.parametrize("geometry", [(4, 8, 2), (5, 3, 9)], ids=["4-8-2", "5-3-9"])
+    def test_small_chunks_are_bitwise_immune_past_their_lookahead(self, geometry):
+        """Criterion 5 at small chunks: with memory, lookahead and smoothing
+        on, chunk i stays bit-identical when every frame after its lookahead
+        changes, and still moves with its own last lookahead frame."""
+        c, left, right = geometry
+        cfg = ChunkConfig(chunk_size=c, left_context=left, right_context=right, memory_slots=4)
+        assert cfg.use_smooth and cfg.num_layers == 4 and cfg.hidden == 192
+        rng = np.random.default_rng(31)
+        w = rand_decoder_weights(rng, cfg)
+        t = 8 * c
+        x = rng.uniform(-1, 1, (t, cfg.hidden)).astype(F32)
+
+        def chunks(frames):
+            stream = DecoderStream(cfg, w)
+            return stream.feed(frames) + stream.finish()
+
+        base = chunks(x)
+        assert len(base) == 8
+        for i in range(7):
+            horizon = (i + 1) * c + right
+            later = x.copy()
+            later[horizon:] += F32(1.0)
+            assert np.array_equal(chunks(later)[i], base[i]), f"chunk {i} saw frames past {horizon}"
+            last = min(horizon, t) - 1
+            inside = x.copy()
+            inside[last] += F32(1.0)
+            assert not np.array_equal(chunks(inside)[i], base[i]), f"chunk {i} ignored frame {last}"
+
     def test_lookahead_frames_do_influence_current_chunk(self):
         rng = np.random.default_rng(9)
         w = rand_decoder_weights(rng, SMALL)
@@ -431,15 +460,17 @@ class TestChunkLayer:
         stream = DecoderStream(SMALL, w)
         stream.feed(rand_frames(rng, 2 * SMALL.chunk_size + SMALL.right_context, SMALL.hidden))
         ls = stream.state.layers[1]
-        assert len(ls.memory) == 2 and ls.k_left.shape[0] == SMALL.left_context
-        body = rand_frames(rng, n, SMALL.hidden)
-        look = rand_frames(rng, r, SMALL.hidden)
+        d = SMALL.hidden
+        assert len(ls.memory) == 2 and ls.kv_left.shape == (SMALL.left_context, 2 * d)
+        body = rand_frames(rng, n, d)
+        look = rand_frames(rng, r, d)
         want = three_call_layer(
-            body, look, np.stack(ls.memory), ls.k_left.copy(), ls.v_left.copy(), w[1], SMALL
+            body, look, np.concatenate(ls.memory), ls.kv_left[:, :d], ls.kv_left[:, d:], w[1], SMALL
         )
-        got = chunk_attention_layer(body, look, stream.state, 1, w[1], SMALL)
-        assert got[0].shape == (n, SMALL.hidden) and got[1].shape == (r, SMALL.hidden)
-        for g, x in zip((*got, ls.k_left, ls.v_left), want):
+        out, mem = chunk_attention_layer(body, look, stream.state, 1, w[1], SMALL)
+        assert out.shape == (n + r, d)
+        got = (out[:n], out[n:], mem, ls.kv_left[:, :d], ls.kv_left[:, d:])
+        for g, x in zip(got, want):
             np.testing.assert_allclose(g, x, atol=1e-5)
 
 
@@ -454,8 +485,9 @@ class TestKeyValueCache:
         body = x[: cfg.chunk_size]
         want_k = body[-cfg.left_context :] @ w[0].w_k
         want_v = body[-cfg.left_context :] @ w[0].w_v
-        np.testing.assert_allclose(stream.state.layers[0].k_left, want_k, atol=1e-6)
-        np.testing.assert_allclose(stream.state.layers[0].v_left, want_v, atol=1e-6)
+        kv_left = stream.state.layers[0].kv_left
+        np.testing.assert_allclose(kv_left[:, : cfg.hidden], want_k, atol=1e-6)
+        np.testing.assert_allclose(kv_left[:, cfg.hidden :], want_v, atol=1e-6)
 
     def test_cache_accumulates_across_small_chunks(self):
         """left_context larger than chunk_size pulls frames from several
@@ -477,8 +509,8 @@ class TestKeyValueCache:
         stream = DecoderStream(cfg, w)
         stream.feed(x)
         stream.finish()
-        want_k = x[2:9] @ w[0].w_k
-        np.testing.assert_allclose(stream.state.layers[0].k_left, want_k, atol=1e-6)
+        want_kv = np.hstack([x[2:9] @ w[0].w_k, x[2:9] @ w[0].w_v])
+        np.testing.assert_allclose(stream.state.layers[0].kv_left, want_kv, atol=1e-6)
 
     def test_zero_left_context_keeps_cache_empty(self):
         rng = np.random.default_rng(16)
@@ -486,7 +518,7 @@ class TestKeyValueCache:
         w = rand_decoder_weights(rng, cfg)
         stream = DecoderStream(cfg, w)
         stream.feed(rand_frames(rng, 14, cfg.hidden))
-        assert stream.state.layers[0].k_left.shape == (0, cfg.hidden)
+        assert stream.state.layers[0].kv_left.shape == (0, 2 * cfg.hidden)
 
     def test_left_context_influences_later_chunks(self):
         rng = np.random.default_rng(17)
