@@ -10,7 +10,10 @@ Weight files are a flat named-tensor container:
         ndim     u8,  dims u32 * ndim
         data     float32 little-endian, C order
 
-All integers are little-endian.  Each component names and shapes its own
+All integers are little-endian.  :func:`load_weights` reads every tensor
+into one float32 buffer, the arena, where each 3-D tensor (a conv kernel)
+is stored tap-major, as :func:`chunkvox.convs.tap_major` lays it out, so a
+loaded model holds each weight once.  Each component names and shapes its own
 tensors: ``decoder.*`` in :mod:`chunkvox.decoder` (the fields of
 ``AttentionLayerWeights`` and ``SmoothWeights``), ``posterior.*`` in
 :mod:`chunkvox.acoustic` and ``generator.*`` in :mod:`chunkvox.vocoder`;
@@ -47,6 +50,9 @@ WEIGHT_VERSION = 1
 CONFIG_VERSION = 1
 PROBE_PREFIX = "__probe."
 _PROBE_SEED = 0xC0FFEE
+# Floats in the loader's transpose block: 256 KB, so a block stays in cache
+# between its read and its transpose.
+_SCRATCH_ITEMS = 1 << 16
 
 
 def save_weights(path: str, tensors: dict[str, np.ndarray]) -> None:
@@ -68,15 +74,37 @@ def save_weights(path: str, tensors: dict[str, np.ndarray]) -> None:
         f.write(blob)
 
 
+def _read_tap_major(f, slot: np.ndarray, dims: tuple[int, ...], scratch: np.ndarray) -> bool:
+    """Read C-order ``[out, in, taps]`` data into ``slot`` as ``[out, taps, in]``.
+
+    Whole output rows go through ``scratch`` (at least one row long) a block
+    at a time.  Returns False when the file ends early.
+    """
+    out, cin, taps = dims
+    row = cin * taps
+    rows = scratch.size // row
+    dst = slot.reshape(out, taps, cin)
+    for lo in range(0, out, rows):
+        block = scratch[: min(rows, out - lo) * row]
+        if f.readinto(block) != block.nbytes:
+            return False
+        dst[lo : lo + rows] = block.reshape(-1, cin, taps).transpose(0, 2, 1)
+    return True
+
+
 def load_weights(path: str) -> dict[str, np.ndarray]:
     """Read a named-tensor container, validating structure byte-exactly.
 
-    Tensors are read from the file straight into read-only views of one
-    float32 buffer, packed back to back.  No copy of the file is made, and
-    every view is aligned for BLAS, which views at the container's own byte
-    offsets would not be.
+    Tensors are read from the file into read-only views of one float32
+    arena, packed back to back; every view is aligned for BLAS, which views
+    at the container's own byte offsets would not be.  A 3-D tensor's slot
+    holds it tap-major (``[out, taps, in]``, transposed on the way in
+    through one reused scratch block), and its view is the ``[out, in,
+    taps]`` one, so :func:`build_bundle` binds every kernel without a copy.
+    Values and shapes are the file's either way.
     """
     tensors: dict[str, np.ndarray] = {}
+    scratch = np.empty(0, dtype="<f4")
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
 
@@ -118,9 +146,17 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
             nbytes = take(4 * n_items, what)
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r}")
-            arr = arena[used : used + n_items].reshape(dims)
+            slot = arena[used : used + n_items]
             used += n_items
-            if f.readinto(arr) != nbytes:
+            if ndim == 3 and n_items:
+                if scratch.size < dims[1] * dims[2]:
+                    scratch = np.empty(max(_SCRATCH_ITEMS, dims[1] * dims[2]), dtype="<f4")
+                complete = _read_tap_major(f, slot, dims, scratch)
+                arr = slot.reshape(dims[0], dims[2], dims[1]).transpose(0, 2, 1)
+            else:
+                complete = f.readinto(slot) == nbytes
+                arr = slot.reshape(dims)
+            if not complete:
                 raise FormatError(f"truncated weight file while reading {what}")
             arr.flags.writeable = False
             tensors[name] = arr
@@ -367,7 +403,8 @@ def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundl
     if problems:
         raise ConfigError("; ".join(problems))
 
-    # Every 3-D tensor in the manifest is a conv kernel.
+    # Every 3-D tensor in the manifest is a conv kernel.  Loaded kernels are
+    # tap-major already and pass through as views; in-memory ones are copied.
     t = {
         name: tap_major(tensors[name]) if len(shape) == 3 else np.asarray(tensors[name], dtype=DTYPE)
         for name, shape in manifest.items()

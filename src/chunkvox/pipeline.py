@@ -1,10 +1,10 @@
 """End-to-end synthesis: score in, waveform out, with timing metrics.
 
 The three decoding modes are schedules of one chunk loop,
-:func:`synth_chunks`: decoded blocks go through the prior, take the
-seeded noise rows at their frame offset, and are vocoded into audio by
-the streaming vocoder.  The mode only picks how blocks are decoded and
-how the vocoder's output is cut:
+:func:`synth_chunks`: decoded blocks are cut into vocoder tiles, and each
+tile goes through the prior, takes the next rows of the seeded noise and
+is vocoded into audio by the streaming vocoder.  The mode only picks how
+blocks are decoded and how the vocoder's output is cut:
 
 * ``parallel``: one full self-attention block, vocoded in tiles of
   ``PARALLEL_TILE`` frames into one buffer that is yielded once.  Nothing
@@ -18,8 +18,9 @@ how the vocoder's output is cut:
 All modes consume the same seeded noise rows in frame order, so their
 outputs are comparable sample for sample.  Memory grows linearly with
 the score in every mode: full attention works in row blocks (see
-:func:`chunkvox.decoder.full_attention_layer`) and the vocoder in tiles
-or chunks, so only per-frame rows and the output span the whole score.
+:func:`chunkvox.decoder.full_attention_layer`), and the prior, the noise
+and the vocoder work in tiles or chunks, so only the input frames, the
+decoder's rows and the output span the whole score.
 """
 
 from __future__ import annotations
@@ -153,18 +154,19 @@ def synth_chunks(
 ) -> Iterator[np.ndarray]:
     """Synthesize a score as a stream of audio chunks.
 
-    The mode is checked, the score embedded and the noise drawn before this
-    returns; decoding and vocoding happen as the iterator is consumed.  The
-    chunks concatenate to exactly ``total_frames * hop`` samples.  ``parallel``
+    The mode is checked and the score embedded before this returns;
+    decoding, the noise draw and vocoding happen as the iterator is
+    consumed.  The noise is drawn one vocoder tile at a time from one
+    generator seeded with ``eps_seed``; since split draws equal one whole
+    draw, frame ``t`` takes the same noise row in every mode.  The chunks
+    concatenate to exactly ``total_frames * hop`` samples.  ``parallel``
     yields one chunk; ``semi`` and ``full`` yield one per ``chunk_size``
     frames.  Arguments are as for :func:`synth`.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     frames = score_to_frames(score, bundle)
-    rng = np.random.default_rng(eps_seed)
-    eps = rng.standard_normal((frames.shape[0], bundle.config.latent_dim)).astype(DTYPE)
-    return _chunk_loop(frames, eps, bundle, mode)
+    return _chunk_loop(frames, np.random.default_rng(eps_seed), bundle, mode)
 
 
 def _decoded_blocks(frames: np.ndarray, bundle: ModelBundle, mode: str) -> Iterator[np.ndarray]:
@@ -179,9 +181,9 @@ def _decoded_blocks(frames: np.ndarray, bundle: ModelBundle, mode: str) -> Itera
 
 
 def _chunk_loop(
-    frames: np.ndarray, eps: np.ndarray, bundle: ModelBundle, mode: str
+    frames: np.ndarray, rng: np.random.Generator, bundle: ModelBundle, mode: str
 ) -> Iterator[np.ndarray]:
-    gen = bundle.generator
+    gen, latent = bundle.generator, bundle.config.latent_dim
     if mode == "parallel":
         tile, wav = PARALLEL_TILE, np.empty(frames.shape[0] * gen.hop, dtype=DTYPE)
     else:
@@ -189,10 +191,10 @@ def _chunk_loop(
     state = gen.create_state()
     done = index = 0
     for decoded in _decoded_blocks(frames, bundle, mode):
-        mu, sigma = _prior_split(decoded, bundle)
-        z = (mu + sigma * eps[done : done + decoded.shape[0]]).T
-        for lo in range(0, z.shape[1], tile):
-            state, audio = gen.stream(state, z[:, lo : lo + tile])
+        for lo in range(0, decoded.shape[0], tile):
+            mu, sigma = _prior_split(decoded[lo : lo + tile], bundle)
+            eps = rng.standard_normal((mu.shape[0], latent)).astype(DTYPE)
+            state, audio = gen.stream(state, (mu + sigma * eps).T)
             if wav is None:
                 yield _finite(audio, index)
                 index += 1
@@ -238,7 +240,7 @@ def synth(
         if latency is None and audio.size:
             latency = time.perf_counter() - start
         parts.append(audio)
-    wav = np.concatenate(parts)
+    wav = parts[0] if len(parts) == 1 else np.concatenate(parts)
     total = time.perf_counter() - start
 
     t, hop = score.total_frames, bundle.generator.hop

@@ -14,6 +14,7 @@ stage strides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,7 +116,9 @@ class GeneratorState:
     states: list[ConvState] = field(default_factory=list)
 
 
-def _node_specs(cfg: GeneratorConfig, pad_mode: str) -> list[tuple[str, ConvSpec]]:
+# Cached: every build_bundle lists the tensors and builds a Generator.
+@lru_cache(maxsize=8)
+def _node_specs(cfg: GeneratorConfig, pad_mode: str) -> tuple[tuple[str, ConvSpec], ...]:
     """Every convolution of the graph, by name, in traversal order."""
     pre = ConvSpec(cfg.latent_dim, cfg.base_channels, cfg.io_kernel, pad_mode=pad_mode)
     specs = [("pre", pre)]
@@ -129,10 +132,10 @@ def _node_specs(cfg: GeneratorConfig, pad_mode: str) -> list[tuple[str, ConvSpec
                 specs.append((f"res.{i}.{bidx}.{j}", res))
     last = cfg.stage_channels(len(cfg.upsample_strides))
     specs.append(("post", ConvSpec(last, 1, cfg.io_kernel, pad_mode=pad_mode)))
-    return specs
+    return tuple(specs)
 
 
-def _tensor_shapes(specs: list[tuple[str, ConvSpec]]) -> dict[str, tuple[int, ...]]:
+def _tensor_shapes(specs) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     for name, spec in specs:
         shapes[f"generator.{name}.weight"] = (spec.out_channels, spec.in_channels, spec.kernel_size)
@@ -141,8 +144,12 @@ def _tensor_shapes(specs: list[tuple[str, ConvSpec]]) -> dict[str, tuple[int, ..
 
 
 def generator_tensor_shapes(cfg: GeneratorConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical tensor names and shapes for a generator of this config."""
-    return _tensor_shapes(_node_specs(cfg, "constant"))
+    """Canonical tensor names and shapes for a generator of this config.
+
+    Shapes do not depend on the pad mode; the default one shares its
+    graph walk with a default :class:`Generator`.
+    """
+    return _tensor_shapes(_node_specs(cfg, "replicate"))
 
 
 class Generator:
@@ -209,7 +216,8 @@ class Generator:
                 for _ in dils:
                     branch = branch + run(leaky_relu(branch, LEAKY_SLOPE))
                 acc = branch if acc is None else acc + branch
-            x = acc / DTYPE(len(cfg.resblock_kernel_sizes))
+            branches = len(cfg.resblock_kernel_sizes)
+            x = acc / DTYPE(branches) if branches > 1 else acc
         x = run(leaky_relu(x, LEAKY_SLOPE))  # post
         return tanh(x)[0]
 

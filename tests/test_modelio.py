@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from chunkvox.modelio import (
     tensor_manifest,
 )
 from chunkvox.acoustic import PosteriorConfig
+from chunkvox.convs import tap_major
 from chunkvox.vocoder import GeneratorConfig
 
 
@@ -65,6 +67,14 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def default_weights(tmp_path_factory):
+    """A saved ``default_config()`` weight file."""
+    path = tmp_path_factory.mktemp("default") / "weights.cssw"
+    save_weights(str(path), make_random_tensors(default_config(), seed=7))
+    return path
 
 
 class TestWeightContainer:
@@ -115,7 +125,8 @@ class TestWeightContainer:
 
     def test_truncation_rejected_at_every_byte(self, tmp_path):
         path = str(tmp_path / "w.cssw")
-        save_weights(path, {"ab": np.arange(3, dtype=np.float32)})
+        kernel = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        save_weights(path, {"ab": np.arange(3, dtype=np.float32), "k": kernel})
         raw = Path(path).read_bytes()
         for cut in range(len(raw)):
             Path(path).write_bytes(raw[:cut])
@@ -172,6 +183,29 @@ class TestWeightContainer:
         for arr in load_weights(path).values():
             with pytest.raises(ValueError):
                 arr[0] = 2.0
+
+    def test_kernels_are_tap_major_views_of_one_buffer(self, tmp_path):
+        """3-D tensors are stored tap-major in the loader's one buffer.
+
+        The shapes cover several transpose blocks, a row longer than the
+        default block, and empty kernels.
+        """
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4, 5), (300, 40, 7), (2, 300, 250), (0, 3, 2), (2, 0, 3), (6,), (4, 5)]
+        tensors = {f"t{i}": rng.normal(size=s).astype(np.float32) for i, s in enumerate(shapes)}
+        path = str(tmp_path / "w.cssw")
+        save_weights(path, tensors)
+        loaded = load_weights(path)
+        buffer = loaded["t0"].base
+        assert buffer.flags.owndata and buffer.ndim == 1
+        for name, want in tensors.items():
+            got = loaded[name]
+            assert got.base is buffer and np.shares_memory(got, buffer) == (got.size > 0)
+            assert got.dtype == np.float32 and not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if got.ndim == 3 and got.size:
+                assert np.swapaxes(got, 1, 2).flags.c_contiguous
+                assert tap_major(got).base is buffer
 
     def test_values_stored_little_endian_float32(self, tmp_path):
         path = str(tmp_path / "w.cssw")
@@ -464,6 +498,27 @@ class TestManifestAndBundle:
             assert w.ndim == 3 and w.dtype == np.float32
             for j in range(w.shape[2]):
                 assert w[:, :, j].strides[1] == w.itemsize
+
+    def test_default_model_file_round_trips_byte_for_byte(self, default_weights):
+        again = default_weights.with_name("again.cssw")
+        save_weights(str(again), load_weights(str(default_weights)))
+        assert again.read_bytes() == default_weights.read_bytes()
+
+    def test_building_a_loaded_model_copies_no_weight(self, default_weights):
+        """The loaded kernels are bound as they are: the default model's
+        conv kernels alone are 6.2 MB."""
+        cfg = default_config()
+        tensors = load_weights(str(default_weights))
+        tracemalloc.start()
+        try:
+            bundle = build_bundle(cfg, tensors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        kernels = [node.w for node in bundle.generator._nodes]
+        kernels += [lw.smooth.conv1_w for lw in bundle.decoder_weights]
+        assert all(np.shares_memory(w, tensors["frontend.phoneme_embed"].base) for w in kernels)
 
     @pytest.mark.parametrize("smooth", [True, False])
     def test_every_weight_field_is_bound_to_its_tensor(self, smooth):

@@ -33,7 +33,6 @@ from chunkvox.pipeline import (
     synth_chunks,
     verify,
     write_wav,
-    _prior_split,
 )
 
 from test_modelio import tiny_config
@@ -146,14 +145,15 @@ class TestSynth:
         np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_parallel_tiles_match_the_offline_vocoder(self, bundle, monkeypatch):
-        """Parallel audio, streamed in tiles, equals one offline vocoder pass.
+        """Parallel audio, tiled, equals the whole score done in one pass each.
 
-        Criterion 8 compares two stream schedules; this keeps a check against
-        ``Generator.offline`` on the same latents.  The score spans three
-        whole tiles and a partial one.
+        The oracle takes full attention, one prior over the whole score, one
+        whole noise draw and one offline vocoder pass; the synthesis takes
+        the prior, the noise and the vocoder one tile at a time.  Criterion
+        8 compares two stream schedules; this keeps a check against
+        ``Generator.offline`` on the same latents.  The scores span two or
+        three whole tiles and a partial one.
         """
-        frames = 3 * PARALLEL_TILE + 17
-        score = ScoreSequence(phonemes=(1, 2), notes=(60, 67), durations=(100, frames - 100))
         stream, widths = bundle.generator.stream, []
 
         def spy(state, z):
@@ -161,17 +161,22 @@ class TestSynth:
             return stream(state, z)
 
         monkeypatch.setattr(bundle.generator, "stream", spy)
-        got, _ = synth(score, bundle, mode="parallel", eps_seed=8)
-        assert widths == [PARALLEL_TILE] * 3 + [17]
+        latent = bundle.config.latent_dim
+        for frames in (2 * PARALLEL_TILE + 2, 3 * PARALLEL_TILE + 17):
+            score = ScoreSequence(phonemes=(1, 2), notes=(60, 67), durations=(100, frames - 100))
+            widths.clear()
+            got, _ = synth(score, bundle, mode="parallel", eps_seed=8)
+            assert widths == [PARALLEL_TILE] * (frames // PARALLEL_TILE) + [frames % PARALLEL_TILE]
 
-        decoded = full_attention_oracle(
-            score_to_frames(score, bundle), bundle.config.chunk, bundle.decoder_weights
-        )
-        mu, sigma = _prior_split(decoded, bundle)
-        eps = np.random.default_rng(8).standard_normal((frames, bundle.config.latent_dim))
-        want = bundle.generator.offline((mu + sigma * eps.astype(np.float32)).T)
-        assert got.shape == want.shape == (frames * bundle.generator.hop,)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+            decoded = full_attention_oracle(
+                score_to_frames(score, bundle), bundle.config.chunk, bundle.decoder_weights
+            )
+            prior = decoded @ bundle.prior_w + bundle.prior_b
+            eps = np.random.default_rng(8).standard_normal((frames, latent)).astype(np.float32)
+            z = prior[:, :latent] + np.exp(prior[:, latent:]) * eps
+            want = bundle.generator.offline(z.T)
+            assert got.shape == want.shape == (frames * bundle.generator.hop,)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
     def test_full_mode_close_to_parallel_with_generous_context(self):
         # With chunk covering the whole sequence and no memory, streaming

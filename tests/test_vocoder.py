@@ -1,5 +1,7 @@
 """Tests for the causal upsampling waveform generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from netgen import random_chunking
@@ -83,6 +85,26 @@ class TestBuild:
             np.testing.assert_array_equal(
                 Generator(SMALL, tapped).offline(z), Generator(SMALL, tensors).offline(z)
             )
+
+    def test_one_branch_audio_equals_a_two_branch_mean_bitwise(self):
+        """Two identical resblock branches average to the branch itself
+        exactly, so a one-branch generator, which takes no mean, must
+        match them byte for byte, offline and streamed."""
+        rng = np.random.default_rng(6)
+        two = replace(SMALL, resblock_kernel_sizes=(3, 3), resblock_dilations=((1, 3), (1, 3)))
+        tensors = rand_tensors(rng, SMALL)
+        # generator.res.{stage}.{branch}.{conv}.{weight|bias}: branch 1 copies branch 0.
+        doubled = dict(tensors)
+        for name, value in tensors.items():
+            parts = name.split(".")
+            if parts[1] == "res":
+                doubled[".".join([*parts[:3], "1", *parts[4:]])] = value
+        one_gen, two_gen = Generator(SMALL, tensors), Generator(two, doubled)
+        z = rand_latents(rng, SMALL, 9)
+        assert one_gen.offline(z).tobytes() == two_gen.offline(z).tobytes()
+        _, one = one_gen.stream(one_gen.create_state(), z)
+        _, both = two_gen.stream(two_gen.create_state(), z)
+        assert one.tobytes() == both.tobytes()
 
     def test_bad_pad_mode_rejected(self):
         rng = np.random.default_rng(1)
