@@ -8,10 +8,11 @@ Layout conventions:
     the ``[out, in, taps]`` view of a C-contiguous ``[out, taps, in]`` array,
     so the per-tap matrix ``w[:, :, j]`` has unit inner stride and goes to
     BLAS without a copy; any other layout computes the same values, slower.
-    :func:`chunkvox.modelio.load_weights` writes each kernel this way into
-    its one buffer, where ``[out, taps, in]`` is also the contiguous
-    ``[out, taps * in]`` matrix of a one-GEMM-per-conv layout, so building a
-    model from a file copies none; in-memory kernels are copied once;
+    Weight files store each kernel this way, and
+    :func:`chunkvox.modelio.load_weights` reads it unchanged into its one
+    buffer, where ``[out, taps, in]`` is also the contiguous ``[out, taps *
+    in]`` matrix of a one-GEMM-per-conv layout, so building a model from a
+    file copies none; in-memory kernels are copied once;
   * biases are ``[out_channels]``.
 
 A plain causal layer left-pads by ``dilation * (kernel_size - 1)`` so output

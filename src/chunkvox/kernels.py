@@ -136,8 +136,3 @@ def leaky_relu(x: np.ndarray, alpha: float = 0.1) -> np.ndarray:
     if not 0 < alpha <= 1:
         raise DomainError(f"leaky_relu slope {alpha} outside (0, 1]")
     return np.maximum(x, DTYPE(alpha) * x)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-

@@ -3,16 +3,19 @@
 Weight files are a flat named-tensor container:
 
     magic   4 bytes  b"CSSW"
-    version u32      1
+    version u32      2
     count   u32      number of tensors
     per tensor:
         name_len u16, name utf-8 bytes
         ndim     u8,  dims u32 * ndim
-        data     float32 little-endian, C order
+        data     float32 little-endian, C order (3-D: tap-major, below)
 
-All integers are little-endian.  :func:`load_weights` reads every tensor
-into one float32 buffer, the arena, where each 3-D tensor (a conv kernel)
-is stored tap-major, as :func:`chunkvox.convs.tap_major` lays it out, so a
+All integers are little-endian.  Dims are the logical shape.  Every 3-D
+tensor is a conv kernel ``[out, in, taps]``, and version 2 stores its data as
+the C-order ``[out, taps, in]`` array that :func:`chunkvox.convs.tap_major`
+lays out, the way the convolutions read it; version 1 stored it in plain C
+order.  :func:`save_weights` writes version 2.  :func:`load_weights` reads
+either into one float32 buffer, the arena, with every kernel tap-major, so a
 loaded model holds each weight once.  Each component names and shapes its own
 tensors: ``decoder.*`` in :mod:`chunkvox.decoder` (the fields of
 ``AttentionLayerWeights`` and ``SmoothWeights``), ``posterior.*`` in
@@ -46,13 +49,10 @@ from .kernels import DTYPE
 from .vocoder import Generator, GeneratorConfig, generator_tensor_shapes
 
 WEIGHT_MAGIC = b"CSSW"
-WEIGHT_VERSION = 1
+WEIGHT_VERSION = 2
 CONFIG_VERSION = 1
 PROBE_PREFIX = "__probe."
 _PROBE_SEED = 0xC0FFEE
-# Floats in the loader's transpose block: 256 KB, so a block stays in cache
-# between its read and its transpose.
-_SCRATCH_ITEMS = 1 << 16
 
 
 def save_weights(path: str, tensors: dict[str, np.ndarray]) -> None:
@@ -69,42 +69,25 @@ def save_weights(path: str, tensors: dict[str, np.ndarray]) -> None:
         blob += struct.pack("<H", len(raw)) + raw
         blob += struct.pack("<B", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += arr.tobytes(order="C")
+        blob += (np.swapaxes(arr, 1, 2) if arr.ndim == 3 else arr).tobytes(order="C")
     with open(path, "wb") as f:
         f.write(blob)
 
 
-def _read_tap_major(f, slot: np.ndarray, dims: tuple[int, ...], scratch: np.ndarray) -> bool:
-    """Read C-order ``[out, in, taps]`` data into ``slot`` as ``[out, taps, in]``.
-
-    Whole output rows go through ``scratch`` (at least one row long) a block
-    at a time.  Returns False when the file ends early.
-    """
-    out, cin, taps = dims
-    row = cin * taps
-    rows = scratch.size // row
-    dst = slot.reshape(out, taps, cin)
-    for lo in range(0, out, rows):
-        block = scratch[: min(rows, out - lo) * row]
-        if f.readinto(block) != block.nbytes:
-            return False
-        dst[lo : lo + rows] = block.reshape(-1, cin, taps).transpose(0, 2, 1)
-    return True
-
-
 def load_weights(path: str) -> dict[str, np.ndarray]:
-    """Read a named-tensor container, validating structure byte-exactly.
+    """Read a version 1 or 2 named-tensor container, validating structure
+    byte-exactly.
 
-    Tensors are read from the file into read-only views of one float32
-    arena, packed back to back; every view is aligned for BLAS, which views
-    at the container's own byte offsets would not be.  A 3-D tensor's slot
-    holds it tap-major (``[out, taps, in]``, transposed on the way in
-    through one reused scratch block), and its view is the ``[out, in,
-    taps]`` one, so :func:`build_bundle` binds every kernel without a copy.
-    Values and shapes are the file's either way.
+    Each tensor is read from the file in one ``readinto`` into its slot of one
+    float32 arena, packed back to back, and returned as a read-only view;
+    every view is aligned for BLAS, which views at the container's own byte
+    offsets would not be.  A 3-D tensor's slot holds it tap-major (``[out,
+    taps, in]``: version 2 stores it so, and a version-1 kernel is re-laid in
+    place after its read), and its view is the ``[out, in, taps]`` one, so
+    :func:`build_bundle` binds every kernel without a copy.  Values and
+    shapes are the file's either way.
     """
     tensors: dict[str, np.ndarray] = {}
-    scratch = np.empty(0, dtype="<f4")
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
 
@@ -128,7 +111,7 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
         magic, version, count = unpack("<4sII", "header")
         if magic != WEIGHT_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
-        if version != WEIGHT_VERSION:
+        if version not in (1, WEIGHT_VERSION):
             raise FormatError(f"unsupported weight file version {version}")
         # Tensor data fits in the rest of the file; packed float32 views stay aligned.
         arena = np.empty(left // 4, dtype="<f4")
@@ -148,16 +131,14 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
                 raise FormatError(f"duplicate tensor name {name!r}")
             slot = arena[used : used + n_items]
             used += n_items
-            if ndim == 3 and n_items:
-                if scratch.size < dims[1] * dims[2]:
-                    scratch = np.empty(max(_SCRATCH_ITEMS, dims[1] * dims[2]), dtype="<f4")
-                complete = _read_tap_major(f, slot, dims, scratch)
+            if f.readinto(slot) != nbytes:
+                raise FormatError(f"truncated weight file while reading {what}")
+            if ndim == 3:
+                if version == 1:
+                    slot[:] = np.swapaxes(slot.reshape(dims), 1, 2).ravel()
                 arr = slot.reshape(dims[0], dims[2], dims[1]).transpose(0, 2, 1)
             else:
-                complete = f.readinto(slot) == nbytes
                 arr = slot.reshape(dims)
-            if not complete:
-                raise FormatError(f"truncated weight file while reading {what}")
             arr.flags.writeable = False
             tensors[name] = arr
     if left:

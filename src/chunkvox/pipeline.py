@@ -305,6 +305,8 @@ def bench(
     """
     if not scores:
         raise ConfigError("bench needs at least one score")
+    if not modes:
+        raise ConfigError(f"bench needs at least one mode, expected among {MODES}")
     if repeats < 1 or warmup < 0:
         raise ConfigError("repeats must be >= 1 and warmup >= 0")
     for mode in modes:
@@ -450,6 +452,8 @@ def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list
         "padding_probe": _verify_padding_probe,
         "finite": _verify_finite,
     }
+    if not checks:
+        raise ConfigError(f"verify needs at least one check, expected among {VERIFY_CHECKS}")
     unknown = [c for c in checks if c not in runners]
     if unknown:
         raise ConfigError(f"unknown checks {unknown}, expected among {VERIFY_CHECKS}")

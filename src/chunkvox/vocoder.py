@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy import tanh  # a module name, so perfbench's span tracer can wrap it
 
 from .convs import (
     ConvSpec,
@@ -26,7 +27,7 @@ from .convs import (
     init_conv_state,
 )
 from .errors import ConfigError, ShapeError
-from .kernels import DTYPE, leaky_relu, tanh
+from .kernels import DTYPE, leaky_relu
 
 LEAKY_SLOPE = 0.1
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -67,6 +68,16 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def version_1_blob(tensors):
+    """A version-1 weight file: every tensor's data in plain C order."""
+    blob = struct.pack("<4sII", b"CSSW", 1, len(tensors))
+    for name, arr in tensors.items():
+        raw = name.encode()
+        blob += struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
+        blob += arr.astype("<f4").tobytes()
+    return blob
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +153,6 @@ class TestWeightContainer:
             load_weights(path)
 
     def test_duplicate_names_rejected(self, tmp_path):
-        import struct
-
         name = b"a"
         entry = struct.pack("<H", 1) + name + struct.pack("<B", 1) + struct.pack("<I", 1)
         entry += struct.pack("<f", 1.0)
@@ -212,6 +221,52 @@ class TestWeightContainer:
         save_weights(path, {"x": np.array([1.0], dtype=np.float32)})
         raw = Path(path).read_bytes()
         assert raw[-4:] == b"\x00\x00\x80\x3f"
+
+    def test_kernel_data_written_tap_major_under_version_2(self, tmp_path):
+        kernel = np.arange(60, dtype=np.float32).reshape(3, 4, 5)
+        path = str(tmp_path / "w.cssw")
+        save_weights(path, {"k": kernel})
+        raw = Path(path).read_bytes()
+        assert struct.unpack_from("<4sII", raw) == (b"CSSW", 2, 1)
+        head = 12 + 2 + 1 + 1  # header, name length, name, rank
+        assert struct.unpack_from("<3I", raw, head) == (3, 4, 5)
+        assert raw[head + 12 :] == np.swapaxes(kernel, 1, 2).tobytes()
+
+    def test_version_1_file_loads_tap_major_in_one_buffer(self, tmp_path):
+        """Version-1 kernels are C order on disk and land as version 2's do:
+        the same values, packed in an arena byte-for-byte equal to version 2's."""
+        rng = np.random.default_rng(8)
+        # (300, 40, 7) is 336 KB of data; the empty kernels and the 1-D and
+        # 2-D tensors sit between the kernels.
+        shapes = [(3, 4, 5), (300, 40, 7), (0, 3, 2), (6,), (2, 0, 3), (4, 5), (2, 3, 1)]
+        tensors = {f"t{i}": rng.normal(size=s).astype(np.float32) for i, s in enumerate(shapes)}
+        v1 = tmp_path / "v1.cssw"
+        v1.write_bytes(version_1_blob(tensors))
+        v2 = str(tmp_path / "v2.cssw")
+        save_weights(v2, tensors)
+        loaded = load_weights(str(v1))
+        buffer = loaded["t0"].base
+        assert buffer.flags.owndata and buffer.ndim == 1
+        used = sum(t.size for t in tensors.values())  # the rest is never written
+        assert buffer[:used].tobytes() == load_weights(v2)["t0"].base[:used].tobytes()
+        for name, want in tensors.items():
+            got = loaded[name]
+            assert got.base is buffer and not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if got.ndim == 3:
+                assert np.swapaxes(got, 1, 2).flags.c_contiguous
+        again = tmp_path / "again.cssw"
+        save_weights(str(again), loaded)
+        assert again.read_bytes() == Path(v2).read_bytes()
+
+    def test_version_1_file_cut_inside_a_kernel_rejected(self, tmp_path):
+        kernel = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        raw = version_1_blob({"ab": np.arange(3, dtype=np.float32), "k": kernel})
+        path = tmp_path / "w.cssw"
+        for cut in range(len(raw) - kernel.nbytes, len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError, match="truncated weight file while reading data of 'k'"):
+                load_weights(str(path))
 
 
 class TestConfigSchema:

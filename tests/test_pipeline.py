@@ -354,6 +354,10 @@ class TestBench:
         with pytest.raises(ConfigError):
             bench([sung_score(8)], bundle, modes=("fastest",))
 
+    def test_rejects_empty_mode_selection(self, bundle):
+        with pytest.raises(ConfigError, match="at least one mode"):
+            bench([sung_score(8)], bundle, modes=())
+
 
 class TestVerify:
     def test_all_checks_pass_on_fresh_model(self, bundle):
@@ -361,8 +365,9 @@ class TestVerify:
         assert [r["check"] for r in report] == list(VERIFY_CHECKS)
         assert all(r["status"] == "pass" for r in report)
 
-    def test_empty_selection_empty_report(self, bundle):
-        assert verify(bundle, ()) == []
+    def test_empty_selection_rejected(self, bundle):
+        with pytest.raises(ConfigError, match="at least one check"):
+            verify(bundle, ())
 
     def test_unknown_check_rejected(self, bundle):
         with pytest.raises(ConfigError, match="unknown"):
@@ -500,6 +505,24 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "command, option, value, what",
+        [("bench", "--mode", ",", "mode"), ("verify", "--checks", "", "check")],
+    )
+    def test_empty_selection_is_json_error(self, tmp_path, capsys, command, option, value, what):
+        cpath, wpath = write_model_files(tmp_path)
+        args = [command, "--config", cpath, "--weights", wpath, option, value]
+        if command == "bench":
+            scores_dir = tmp_path / "scores"
+            scores_dir.mkdir()
+            write_score_file(scores_dir, frames=9)
+            args += ["--scores", str(scores_dir)]
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError" and f"at least one {what}" in err["message"]
 
     def test_verify_command_exits_zero(self, tmp_path, capsys):
         cpath, wpath = write_model_files(tmp_path)
