@@ -19,7 +19,6 @@ from .convs import (
     ConvSpec,
     ConvState,
     _conv_valid,
-    causal_conv1d_offline,
     causal_conv1d_step,
     init_conv_state,
 )
@@ -299,18 +298,23 @@ class PosteriorEncoder:
         sigma = np.exp(head_out[d:].T)
         return GaussianParams(mu=np.ascontiguousarray(mu), sigma=np.ascontiguousarray(sigma))
 
-    def encode(self, feats: np.ndarray) -> GaussianParams:
-        """Whole-sequence encoding of ``[in_channels, frames]`` features."""
+    def _features(self, feats: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         if feats.ndim != 2 or feats.shape[0] != cfg.in_channels:
             raise ShapeError(f"features {feats.shape} do not match [{cfg.in_channels}, frames]")
-        x = feats.astype(DTYPE, copy=False)
-        half = (cfg.kernel_size - 1) // 2
+        return feats.astype(DTYPE, copy=False)
+
+    def encode(self, feats: np.ndarray) -> GaussianParams:
+        """Whole-sequence encoding of ``[in_channels, frames]`` features.
+
+        A causal encoder feeds the sequence to a fresh stream as one chunk.
+        """
+        if self.causal:
+            return self.encode_step(self.create_state(), feats)[1]
+        x = self._features(feats)
+        half = (self.cfg.kernel_size - 1) // 2
         for spec, (w, b, gamma, beta) in zip(self._conv_specs(), self.weights.layers):
-            if self.causal:
-                x = causal_conv1d_offline(x, w, b, spec)
-            else:
-                x = _conv_valid(np.pad(x, ((0, 0), (half, half))), w, b, spec)
+            x = _conv_valid(np.pad(x, ((0, 0), (half, half))), w, b, spec)
             x = relu(layer_norm(x.T, gamma, beta)).T
         head = self.weights.out_w[:, :, 0] @ x + self.weights.out_b[:, None]
         return self._split(head)
@@ -326,10 +330,7 @@ class PosteriorEncoder:
         """Streaming encoding; concatenated chunks match :meth:`encode`."""
         if not self.causal:
             raise ConfigError("streaming requires a causal posterior encoder")
-        cfg = self.cfg
-        if feats.ndim != 2 or feats.shape[0] != cfg.in_channels:
-            raise ShapeError(f"features {feats.shape} do not match [{cfg.in_channels}, frames]")
-        x = feats.astype(DTYPE, copy=False)
+        x = self._features(feats)
         nxt = []
         for state, spec, (w, b, gamma, beta) in zip(
             states, self._conv_specs(), self.weights.layers

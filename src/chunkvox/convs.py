@@ -17,25 +17,27 @@ Layout conventions:
 
 A plain causal layer left-pads by ``dilation * (kernel_size - 1)`` so output
 frame ``t`` depends only on input frames ``<= t`` (for stride 1).  A causal
-transposed layer left-pads its *input* by ``kernel_size // stride - 1``
-frames, then trims ``stride`` columns from the head of the raw overlap-add
-whenever that pad is nonzero, and keeps exactly ``length * stride`` output
-columns; with ``kernel_size == 2 * stride`` this is the same as trimming one
-stride from each end of the padded result.
+transposed layer left-pads its *input* by ``pad = kernel_size // stride - 1``
+frames and emits one block of ``stride`` columns per input frame: tap ``j =
+q * stride + r`` adds ``w[:, :, j] @ x[t - shift - q]`` to column ``r`` of
+frame ``t``'s block, with ``shift = max(pad - 1, 0)``; frames ``-pad .. -1``
+are the pad, and frames before it add nothing.  So sample ``t`` depends only
+on input frames ``<= t // stride``.
 
-Streaming evaluation (``*_step``) feeds arbitrary chunk splits through one
-rule for both layer types: the carried state is the tail of the padded input
-seen so far, each chunk reruns the layer over ``[history; chunk]``, and the
-output columns the chunk completes are emitted.  Concatenated outputs equal
-the offline result up to float associativity.
+Each layer type has one evaluation, its streaming step (``*_step``), with
+one rule for both: the carried state is the tail of the padded input seen
+so far, and each chunk runs the layer over ``[history; chunk]`` for just the
+output columns the chunk completes.  An offline evaluation (``*_offline``)
+is a fresh stream's one chunk, so the outputs of any chunking concatenate
+to it up to float associativity.
 
 Natural padding, giving each chunk real preceding frames in place of zeros,
 is therefore what every stream already does: padding (``replicate`` or
 zeros) stands in for history only at a stream's start, and after that each
 layer's ``ConvState`` carries the real frames.  :func:`natural_pad_forward`
 is the stateless form of the same rule for one slice of a sequence: it
-prepends :func:`required_history` real frames and runs the padded offline
-path.
+prepends :func:`required_history` real frames and runs the slice as a fresh
+stream.
 """
 
 from __future__ import annotations
@@ -150,18 +152,6 @@ def _check_input(spec: ConvSpec, x: np.ndarray) -> None:
         )
 
 
-def _pad_left(x: np.ndarray, pad: int, spec: ConvSpec) -> np.ndarray:
-    if pad == 0:
-        return x
-    if spec.pad_mode == "replicate":
-        if x.shape[1] == 0:
-            raise ShapeError("cannot replicate-pad an empty sequence")
-        fill = np.repeat(x[:, :1], pad, axis=1)
-    else:
-        fill = np.zeros((x.shape[0], pad), dtype=DTYPE)
-    return np.concatenate([fill, x], axis=1)
-
-
 def _conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
     """Valid-mode strided convolution; returns ``[out_channels, n_out]``."""
     span = spec.dilation * (spec.kernel_size - 1) + 1
@@ -179,76 +169,26 @@ def _conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSp
     return acc
 
 
-def _tconv_raw(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Overlap-add scatter of a transposed convolution, no pad/trim/bias.
+def _tconv_cols(x: np.ndarray, w: np.ndarray, spec: ConvSpec, h: int, n: int) -> np.ndarray:
+    """Overlap-add blocks ``h .. h + n - 1`` of a transposed convolution, no bias.
 
-    Output column ``i * stride + j`` accumulates ``w[:, :, j] @ x[:, i]``;
-    length is ``(m - 1) * stride + kernel_size`` for ``m`` input frames.
-    Taps ``j < stride`` write the disjoint columns ``j, j + stride, ...``,
-    which cover ``[0, m * stride)``, so they assign; only the tail past
-    ``m * stride`` starts at zero, and the later taps add (``kernel_size >=
-    stride``, as :class:`ConvSpec` enforces).
+    Block ``c`` is the ``stride`` columns that frame ``h + c`` of ``x`` starts:
+    tap ``j = q * stride + r`` writes its column ``r`` from frame ``h + c - q``,
+    so it skips the blocks below ``max(q - h, 0)``, which no frame feeds, and
+    taps with ``q >= h + n`` feed none.  The ``q == 0`` taps cover every
+    column and assign (``kernel_size >= stride``, as :class:`ConvSpec`
+    enforces); later taps add, in tap order.
     """
-    m = x.shape[1]
-    k, s = spec.kernel_size, spec.stride
-    raw = np.empty((spec.out_channels, (m - 1) * s + k), dtype=DTYPE)
-    raw[:, m * s :] = 0
-    for j in range(k):
-        cols = slice(j, j + (m - 1) * s + 1, s)
-        if j < s:
-            raw[:, cols] = w[:, :, j] @ x
+    s = spec.stride
+    out = np.empty((spec.out_channels, n * s), dtype=DTYPE)
+    for j in range(min(spec.kernel_size, (h + n) * s)):
+        q, r = divmod(j, s)
+        if q == 0:
+            out[:, r::s] = w[:, :, j] @ x[:, h : h + n]
         else:
-            raw[:, cols] += w[:, :, j] @ x
-    return raw
-
-
-def causal_conv1d_offline(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec
-) -> np.ndarray:
-    """Whole-sequence causal convolution.
-
-    Args:
-        x: Input ``[in_channels, length]``.
-        w: Kernel ``[out_channels, in_channels, kernel_size]``.
-        b: Bias ``[out_channels]``.
-        spec: Layer description; must not be transposed.
-
-    Returns:
-        ``[out_channels, ceil(length / stride)]`` output.
-    """
-    if spec.transposed:
-        raise ConfigError("causal_conv1d_offline called with a transposed spec")
-    _check_input(spec, x)
-    _check_kernel(spec, w, b)
-    if x.shape[1] == 0:
-        return np.zeros((spec.out_channels, 0), dtype=DTYPE)
-    xp = _pad_left(x, left_context(spec), spec)
-    return _conv_valid(xp, w, b, spec)
-
-
-def causal_tconv1d_offline(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec
-) -> np.ndarray:
-    """Whole-sequence causal transposed convolution.
-
-    Left-pads the input by ``kernel_size // stride - 1`` frames, trims
-    ``stride`` columns from the head of the raw overlap-add when that pad is
-    nonzero, and keeps exactly ``length * stride`` columns, so the output
-    length law ``out = length * stride`` holds for every ``kernel_size >=
-    stride`` and sample ``t`` depends only on input frames ``<= t // stride``.
-    """
-    if not spec.transposed:
-        raise ConfigError("causal_tconv1d_offline called with a non-transposed spec")
-    _check_input(spec, x)
-    _check_kernel(spec, w, b)
-    length = x.shape[1]
-    if length == 0:
-        return np.zeros((spec.out_channels, 0), dtype=DTYPE)
-    pad = left_context(spec)
-    raw = _tconv_raw(_pad_left(x, pad, spec), w, spec)
-    head = spec.stride if pad > 0 else 0
-    out = raw[:, head : head + length * spec.stride]
-    return out + b[:, None]
+            c0 = max(q - h, 0)
+            out[:, c0 * s + r :: s] += w[:, :, j] @ x[:, h + c0 - q : h + n - q]
+    return out
 
 
 def init_conv_state(spec: ConvSpec) -> ConvState:
@@ -262,9 +202,16 @@ def init_conv_state(spec: ConvSpec) -> ConvState:
 
 def _extend(state: ConvState, chunk: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """The carried history followed by ``chunk``; a stream's first chunk is left-padded."""
-    if state.buf is None:
-        return _pad_left(chunk, left_context(spec), spec)
-    return np.concatenate([state.buf, chunk], axis=1)
+    if state.buf is not None:
+        return np.concatenate([state.buf, chunk], axis=1)
+    pad = left_context(spec)
+    if pad == 0:
+        return chunk
+    if spec.pad_mode == "replicate":
+        fill = np.repeat(chunk[:, :1], pad, axis=1)
+    else:
+        fill = np.zeros((chunk.shape[0], pad), dtype=DTYPE)
+    return np.concatenate([fill, chunk], axis=1)
 
 
 def causal_conv1d_step(
@@ -278,7 +225,7 @@ def causal_conv1d_step(
     """Feed one chunk through a plain causal layer.
 
     Concatenating the outputs over any chunking of a sequence equals the
-    offline result up to float associativity.  Empty chunks are legal and
+    one-chunk result up to float associativity.  Empty chunks are legal and
     produce empty output.
 
     With ``commit`` (stride 1 only, ``0 <= commit <= width``) the output
@@ -326,10 +273,11 @@ def causal_tconv1d_step(
 ) -> tuple[ConvState, np.ndarray]:
     """Feed one chunk through a causal transposed layer.
 
-    Reruns the overlap-add over ``[history; chunk]`` and emits the ``stride``
-    columns of each new frame.  Those columns read at most :func:`history`
-    earlier padded input frames, which the state keeps, so concatenated
-    streaming output equals the offline result up to float associativity.
+    Computes the overlap-add over ``[history; chunk]`` only for the
+    ``stride`` columns of each new frame.  Those columns read at most
+    :func:`history` earlier padded input frames, which the state keeps, so
+    concatenated output equals the one-chunk result up to float
+    associativity.
     """
     if not spec.transposed:
         raise ConfigError("causal_tconv1d_step called with a non-transposed spec")
@@ -338,13 +286,11 @@ def causal_tconv1d_step(
     n = chunk.shape[1]
     if n == 0:
         return state, np.zeros((spec.out_channels, 0), dtype=DTYPE)
-    s = spec.stride
-    # Frame i of x owns raw block i - shift: the offline path pads ``pad`` frames
-    # and trims one block of ``stride`` columns from the head.
+    # The chunk's frame i emits the block started by frame i - shift.
     shift = max(left_context(spec) - 1, 0)
     x = _extend(state, chunk, spec)
-    h = x.shape[1] - n - shift
-    out = _tconv_raw(x, w, spec)[:, h * s : (h + n) * s] + b[:, None]
+    out = _tconv_cols(x, w, spec, x.shape[1] - n - shift, n)
+    out += b[:, None]
     return ConvState(buf=x[:, max(x.shape[1] - history(spec), 0) :].copy()), out
 
 
@@ -357,11 +303,26 @@ def conv_step(
     return causal_conv1d_step(state, chunk, w, b, spec)
 
 
+def causal_conv1d_offline(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec
+) -> np.ndarray:
+    """Whole-sequence causal convolution: a fresh stream fed ``x`` as one chunk.
+
+    Args:
+        x: Input ``[in_channels, length]``.
+        w: Kernel ``[out_channels, in_channels, kernel_size]``.
+        b: Bias ``[out_channels]``.
+        spec: Layer description; must not be transposed.
+
+    Returns:
+        ``[out_channels, ceil(length / stride)]`` output.
+    """
+    return causal_conv1d_step(ConvState(), x, w, b, spec)[1]
+
+
 def conv_offline(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Dispatch to the plain or transposed offline evaluation."""
-    if spec.transposed:
-        return causal_tconv1d_offline(x, w, b, spec)
-    return causal_conv1d_offline(x, w, b, spec)
+    """Whole-sequence evaluation of either layer type: a fresh stream's one chunk."""
+    return conv_step(ConvState(), x, w, b, spec)[1]
 
 
 Layer = tuple[ConvSpec, np.ndarray, np.ndarray]
@@ -401,10 +362,10 @@ def natural_pad_forward(
 
     The slice is extended on the left by ``required_history(net)`` frames of
     ``z_full``, stopping at frame 0, and the window runs through
-    :func:`net_offline` with the layers' own padding.  The last ``slice_len *
-    total_upsampling(net)`` columns equal the offline output of the whole
-    sequence for the slice's frames, near the start too, where the window
-    starts at frame 0 just as the whole sequence does.
+    :func:`net_offline`, a fresh stream with the layers' own padding.  The
+    last ``slice_len * total_upsampling(net)`` columns equal the offline
+    output of the whole sequence for the slice's frames, near the start too,
+    where the window starts at frame 0 just as the whole sequence does.
 
     Args:
         z_full: Full latent sequence ``[channels, total_len]``.
@@ -430,10 +391,8 @@ def natural_pad_forward(
 
 
 def net_offline(x: np.ndarray, net: list[Layer]) -> np.ndarray:
-    """Run a whole sequence through a stack of padded causal layers."""
-    for spec, w, b in net:
-        x = conv_offline(x, w, b, spec)
-    return x
+    """Run a whole sequence through a stack of padded causal layers as one chunk."""
+    return net_stream_step(net_stream_init(net), x, net)[1]
 
 
 def net_stream_init(net: list[Layer]) -> list[ConvState]:

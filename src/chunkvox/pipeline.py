@@ -109,7 +109,9 @@ class StreamMetrics:
     """Timing facts for one synthesis run.
 
     ``latency_s`` is the processing time until the first audio samples
-    exist; in parallel mode that is the entire run by definition.
+    exist; in parallel mode that is the entire run by definition.  Both
+    ``latency_s`` and ``process_time_s`` start after :func:`score_to_frames`
+    has embedded and length-regulated the score, so they leave that step out.
     """
 
     mode: str
@@ -230,7 +232,9 @@ def synth(
 
     Returns:
         ``(wav, metrics)`` where ``wav`` has exactly
-        ``total_frames * hop`` samples in ``(-1, 1)``.
+        ``total_frames * hop`` samples in ``(-1, 1)``.  The clock behind
+        ``metrics.latency_s`` and ``metrics.process_time_s`` starts after
+        :func:`score_to_frames`, so neither counts embedding the score.
     """
     chunks = synth_chunks(score, bundle, mode, eps_seed)
     start = time.perf_counter()
@@ -289,6 +293,20 @@ def read_wav(path: str) -> tuple[np.ndarray, int]:
     return (pcm.astype(DTYPE) / DTYPE(32767.0)), rate
 
 
+def _check_selection(
+    caller: str, what: str, picked: tuple[str, ...], known: tuple[str, ...]
+) -> None:
+    """Reject an empty selection, an unknown name, and a name picked twice."""
+    if not picked:
+        raise ConfigError(f"{caller} needs at least one {what}, expected among {known}")
+    unknown = [p for p in picked if p not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what}s {unknown}, expected among {known}")
+    repeated = sorted({p for p in picked if picked.count(p) > 1})
+    if repeated:
+        raise ConfigError(f"{caller} {what}s {repeated} picked more than once")
+
+
 def bench(
     scores: list[ScoreSequence],
     bundle: ModelBundle,
@@ -305,13 +323,9 @@ def bench(
     """
     if not scores:
         raise ConfigError("bench needs at least one score")
-    if not modes:
-        raise ConfigError(f"bench needs at least one mode, expected among {MODES}")
+    _check_selection("bench", "mode", modes, MODES)
     if repeats < 1 or warmup < 0:
         raise ConfigError("repeats must be >= 1 and warmup >= 0")
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}")
     results = {}
     for mode in modes:
         latencies, processes, rtfs = [], [], []
@@ -366,11 +380,11 @@ def _verify_conv_streaming(bundle: ModelBundle) -> tuple[bool, str]:
             lo += width
         got = np.concatenate(outs, axis=1)
         if got.shape != want.shape:
-            return False, f"trial {trial}: streamed shape {got.shape}, offline {want.shape}"
+            return False, f"trial {trial}: chunked shape {got.shape}, one chunk {want.shape}"
         if want.size:
             worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-5
-    return ok, f"max |stream - offline| = {worst:.2e} over 6 random layers"
+    return ok, f"max |chunked - one chunk| = {worst:.2e} over 6 random layers"
 
 
 def _verify_causality(bundle: ModelBundle) -> tuple[bool, str]:
@@ -452,11 +466,7 @@ def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list
         "padding_probe": _verify_padding_probe,
         "finite": _verify_finite,
     }
-    if not checks:
-        raise ConfigError(f"verify needs at least one check, expected among {VERIFY_CHECKS}")
-    unknown = [c for c in checks if c not in runners]
-    if unknown:
-        raise ConfigError(f"unknown checks {unknown}, expected among {VERIFY_CHECKS}")
+    _check_selection("verify", "check", checks, VERIFY_CHECKS)
     report = []
     for check in checks:
         outcome = runners[check](bundle)

@@ -358,6 +358,10 @@ class TestBench:
         with pytest.raises(ConfigError, match="at least one mode"):
             bench([sung_score(8)], bundle, modes=())
 
+    def test_rejects_a_mode_picked_twice(self, bundle):
+        with pytest.raises(ConfigError, match=r"\['full'\] picked more than once"):
+            bench([sung_score(8)], bundle, modes=("full", "parallel", "full"))
+
 
 class TestVerify:
     def test_all_checks_pass_on_fresh_model(self, bundle):
@@ -368,6 +372,10 @@ class TestVerify:
     def test_empty_selection_rejected(self, bundle):
         with pytest.raises(ConfigError, match="at least one check"):
             verify(bundle, ())
+
+    def test_rejects_a_check_picked_twice(self, bundle):
+        with pytest.raises(ConfigError, match=r"\['finite'\] picked more than once"):
+            verify(bundle, ("finite", "causality", "finite"))
 
     def test_unknown_check_rejected(self, bundle):
         with pytest.raises(ConfigError, match="unknown"):
@@ -432,6 +440,22 @@ def write_score_file(tmp_path, frames=12):
         lines.append(f"{i + 1}\t{60 + i}\t{d}")
     Path(path).write_text("\n".join(lines) + "\n")
     return path
+
+
+def selection_error(tmp_path, capsys, command, option, value):
+    """Run ``command`` with ``option value`` on a fresh model; it must exit 1
+    with nothing on stdout and a JSON error on stderr, which is returned."""
+    cpath, wpath = write_model_files(tmp_path)
+    args = [command, "--config", cpath, "--weights", wpath, option, value]
+    if command == "bench":
+        scores_dir = tmp_path / "scores"
+        scores_dir.mkdir()
+        write_score_file(scores_dir, frames=9)
+        args += ["--scores", str(scores_dir)]
+    assert cli_main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)["error"]
 
 
 class TestCli:
@@ -511,18 +535,17 @@ class TestCli:
         [("bench", "--mode", ",", "mode"), ("verify", "--checks", "", "check")],
     )
     def test_empty_selection_is_json_error(self, tmp_path, capsys, command, option, value, what):
-        cpath, wpath = write_model_files(tmp_path)
-        args = [command, "--config", cpath, "--weights", wpath, option, value]
-        if command == "bench":
-            scores_dir = tmp_path / "scores"
-            scores_dir.mkdir()
-            write_score_file(scores_dir, frames=9)
-            args += ["--scores", str(scores_dir)]
-        assert cli_main(args) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)["error"]
+        err = selection_error(tmp_path, capsys, command, option, value)
         assert err["type"] == "ConfigError" and f"at least one {what}" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, option, value, what",
+        [("bench", "--mode", "full,full", "mode"), ("verify", "--checks", "finite,finite", "check")],
+    )
+    def test_repeated_selection_is_json_error(self, tmp_path, capsys, command, option, value, what):
+        err = selection_error(tmp_path, capsys, command, option, value)
+        assert err["type"] == "ConfigError"
+        assert f"{what}s ['{value.split(',')[0]}'] picked more than once" in err["message"]
 
     def test_verify_command_exits_zero(self, tmp_path, capsys):
         cpath, wpath = write_model_files(tmp_path)
