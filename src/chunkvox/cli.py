@@ -145,7 +145,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        bundle = load_model(args.config, args.weights)
+        bundle = load_model(args.config, args.weights, posterior=True)
         checks = tuple(c for c in args.checks.split(",") if c)
         report = verify(bundle, checks)
         print(json.dumps({"checks": report}, indent=2))

@@ -16,9 +16,10 @@ the C-order ``[out, taps, in]`` array that :func:`chunkvox.convs.tap_major`
 lays out, the way the convolutions read it; version 1 stored it in plain C
 order.  :func:`save_weights` writes version 2.  :func:`load_weights` reads
 either into one float32 buffer, the arena, with every kernel tap-major, so a
-loaded model holds each weight once.  Each component names and shapes its own
-tensors: ``decoder.*`` in :mod:`chunkvox.decoder` (the fields of
-``AttentionLayerWeights`` and ``SmoothWeights``), ``posterior.*`` in
+loaded model holds each weight once; :func:`load_model` passes over the
+posterior encoder's data unless asked for it.  Each component names and
+shapes its own tensors: ``decoder.*`` in :mod:`chunkvox.decoder` (the fields
+of ``AttentionLayerWeights`` and ``SmoothWeights``), ``posterior.*`` in
 :mod:`chunkvox.acoustic` and ``generator.*`` in :mod:`chunkvox.vocoder`;
 this module names only the ``frontend.*`` and ``prior.*`` tensors.
 
@@ -74,22 +75,33 @@ def save_weights(path: str, tensors: dict[str, np.ndarray]) -> None:
         f.write(blob)
 
 
-def load_weights(path: str) -> dict[str, np.ndarray]:
+def load_weights(
+    path: str, skip: dict[str, tuple[int, ...]] | None = None
+) -> dict[str, np.ndarray]:
     """Read a version 1 or 2 named-tensor container, validating structure
     byte-exactly.
 
-    Each tensor is read from the file in one ``readinto`` into its slot of one
-    float32 arena, packed back to back, and returned as a read-only view;
-    every view is aligned for BLAS, which views at the container's own byte
-    offsets would not be.  A 3-D tensor's slot holds it tap-major (``[out,
-    taps, in]``: version 2 stores it so, and a version-1 kernel is re-laid in
-    place after its read), and its view is the ``[out, in, taps]`` one, so
-    :func:`build_bundle` binds every kernel without a copy.  Values and
-    shapes are the file's either way.
+    The tensor headers are checked first, each tensor's data passed over;
+    then each tensor is read from the file in one ``preadv`` into its slot of
+    one float32 arena, packed back to back, and returned as a read-only view.
+    The arena holds exactly the tensors returned and every float of it is
+    written; every view is aligned for BLAS, which views at the container's
+    own byte offsets would not be.  A 3-D tensor's slot holds it tap-major
+    (``[out, taps, in]``: version 2 stores it so, and a version-1 kernel is
+    re-laid in place after its read), and its view is the ``[out, in, taps]``
+    one, so :func:`build_bundle` binds every kernel without a copy.  Values
+    and shapes are the file's either way.
+
+    Each tensor named in ``skip`` must be in the file with the shape ``skip``
+    gives it (``ConfigError``, naming every one missing or misshapen, after
+    the file's structure has passed); its header is checked like any other,
+    its data is never read, and it is left out of the result.
     """
-    tensors: dict[str, np.ndarray] = {}
+    skip = skip or {}
+    shapes: dict[str, tuple[int, ...]] = {}  # every tensor's dims, by name
+    kept: list[tuple[str, tuple[int, ...], int]] = []  # name, dims, file offset
     with open(path, "rb") as f:
-        left = os.fstat(f.fileno()).st_size
+        size = left = os.fstat(f.fileno()).st_size
 
         def take(n: int, what: str) -> int:
             """Check that ``n`` more bytes exist and account for them."""
@@ -113,9 +125,6 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
             raise FormatError(f"bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
         if version not in (1, WEIGHT_VERSION):
             raise FormatError(f"unsupported weight file version {version}")
-        # Tensor data fits in the rest of the file; packed float32 views stay aligned.
-        arena = np.empty(left // 4, dtype="<f4")
-        used = 0
         for index in range(count):
             (name_len,) = unpack("<H", "name length")
             try:
@@ -124,16 +133,35 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
                 raise FormatError(f"name of tensor {index} is not valid UTF-8: {exc.reason}") from exc
             (ndim,) = unpack("<B", "rank")
             dims = unpack(f"<{ndim}I", "dims")
-            what = f"data of {name!r}"
-            n_items = math.prod(dims)
-            nbytes = take(4 * n_items, what)
-            if name in tensors:
+            nbytes = take(4 * math.prod(dims), f"data of {name!r}")
+            if name in shapes:
                 raise FormatError(f"duplicate tensor name {name!r}")
-            slot = arena[used : used + n_items]
-            used += n_items
-            if f.readinto(slot) != nbytes:
-                raise FormatError(f"truncated weight file while reading {what}")
-            if ndim == 3:
+            shapes[name] = dims
+            if name not in skip:
+                kept.append((name, dims, size - left - nbytes))
+            f.seek(nbytes, os.SEEK_CUR)
+        if left:
+            raise FormatError(f"{left} trailing bytes after last tensor")
+        # After every structural check, as build_bundle checks the tensors it binds.
+        problems = [
+            f"tensor {name} has shape {shapes[name]}, wants {shape}"
+            if name in shapes
+            else f"missing tensor {name}"
+            for name, shape in skip.items()
+            if shapes.get(name) != shape
+        ]
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+        arena = np.empty(sum(math.prod(dims) for _, dims, _ in kept), dtype="<f4")
+        tensors: dict[str, np.ndarray] = {}
+        used = 0
+        for name, dims, offset in kept:
+            slot = arena[used : used + math.prod(dims)]
+            used += slot.size
+            if os.preadv(f.fileno(), [slot], offset) != slot.nbytes:
+                raise FormatError(f"truncated weight file while reading data of {name!r}")
+            if len(dims) == 3:
                 if version == 1:
                     slot[:] = np.swapaxes(slot.reshape(dims), 1, 2).ravel()
                 arr = slot.reshape(dims[0], dims[2], dims[1]).transpose(0, 2, 1)
@@ -141,8 +169,6 @@ def load_weights(path: str) -> dict[str, np.ndarray]:
                 arr = slot.reshape(dims)
             arr.flags.writeable = False
             tensors[name] = arr
-    if left:
-        raise FormatError(f"{left} trailing bytes after last tensor")
     return tensors
 
 
@@ -359,7 +385,13 @@ def make_random_tensors(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class ModelBundle:
-    """Config plus every executable component built from a tensor dict."""
+    """Config plus every executable component built from a tensor dict.
+
+    ``posterior`` is None when the bundle was built for synthesis only, as
+    :func:`load_model` builds it by default: synthesis runs the prior path
+    and never reads the posterior encoder.  A bundle from that default
+    holds no ``posterior.*`` tensor in ``tensors`` either.
+    """
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
@@ -367,14 +399,21 @@ class ModelBundle:
     prior_w: np.ndarray
     prior_b: np.ndarray
     generator: Generator
-    posterior: PosteriorEncoder
+    posterior: PosteriorEncoder | None
     phoneme_embed: np.ndarray
     note_embed: np.ndarray
 
 
-def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundle:
-    """Assemble a bundle, enumerating every missing or misshapen tensor."""
-    manifest = tensor_manifest(cfg)
+def build_bundle(
+    cfg: ModelConfig, tensors: dict[str, np.ndarray], posterior: bool = True
+) -> ModelBundle:
+    """Assemble a bundle, enumerating every missing or misshapen tensor.
+
+    With ``posterior=False`` the ``posterior.*`` tensors are neither required
+    nor bound, and the bundle's ``posterior`` is None.
+    """
+    skipped = {} if posterior else posterior_tensor_shapes(cfg.posterior)
+    manifest = {n: s for n, s in tensor_manifest(cfg).items() if n not in skipped}
     problems = []
     for name, shape in manifest.items():
         if name not in tensors:
@@ -390,6 +429,10 @@ def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundl
         name: tap_major(tensors[name]) if len(shape) == 3 else np.asarray(tensors[name], dtype=DTYPE)
         for name, shape in manifest.items()
     }
+    encoder = None
+    if posterior:
+        weights = PosteriorWeights.from_tensors(cfg.posterior, t)
+        encoder = PosteriorEncoder(cfg.posterior, weights, causal=cfg.flags.causal_posterior)
     return ModelBundle(
         config=cfg,
         tensors=dict(tensors),
@@ -401,20 +444,26 @@ def build_bundle(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelBundl
         generator=Generator(
             cfg.generator, t, pad_mode="replicate" if cfg.flags.natural_padding else "constant"
         ),
-        posterior=PosteriorEncoder(
-            cfg.posterior,
-            PosteriorWeights.from_tensors(cfg.posterior, t),
-            causal=cfg.flags.causal_posterior,
-        ),
+        posterior=encoder,
         phoneme_embed=t["frontend.phoneme_embed"],
         note_embed=t["frontend.note_embed"],
     )
 
 
-def load_model(config_path: str, weights_path: str) -> ModelBundle:
+def load_model(config_path: str, weights_path: str, posterior: bool = False) -> ModelBundle:
+    """Load a config and its weight file into a bundle.
+
+    By default only what synthesis reads is loaded: the ``posterior.*``
+    tensors are found by their headers and checked against the config's
+    manifest (name, shape, data present, named once), then passed over
+    unread, and the bundle has no posterior encoder.  ``posterior=True``
+    loads every tensor and builds the encoder too; ``chunkvox verify`` does,
+    for its ``length_laws`` check.
+    """
     cfg = load_config(config_path)
-    tensors = load_weights(weights_path)
-    return build_bundle(cfg, tensors)
+    skip = {} if posterior else posterior_tensor_shapes(cfg.posterior)
+    tensors = load_weights(weights_path, skip=skip)
+    return build_bundle(cfg, tensors, posterior=posterior)
 
 
 def probe_tensors(bundle: ModelBundle) -> dict[str, np.ndarray]:

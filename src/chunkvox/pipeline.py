@@ -38,7 +38,7 @@ import numpy as np
 from .acoustic import ScoreSequence, length_regulate
 from .convs import ConvSpec, conv_offline, conv_step, init_conv_state
 from .decoder import DecoderStream, chunkstream_decode, full_attention_oracle
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ChunkvoxError, ConfigError, DomainError, ShapeError
 from .kernels import DTYPE
 from .modelio import PROBE_PREFIX, ModelBundle
 
@@ -402,7 +402,7 @@ def _verify_causality(bundle: ModelBundle) -> tuple[bool, str]:
     return True, f"first {keep} samples bit-identical under future-frame perturbation"
 
 
-def _verify_length_laws(bundle: ModelBundle) -> tuple[bool, str]:
+def _verify_length_laws(bundle: ModelBundle) -> tuple[bool | None, str]:
     rng = np.random.default_rng(11)
     gen = bundle.generator
     for frames in (1, 3, 7):
@@ -410,6 +410,11 @@ def _verify_length_laws(bundle: ModelBundle) -> tuple[bool, str]:
         got = gen.offline(z).shape[0]
         if got != frames * gen.hop:
             return False, f"{frames} frames gave {got} samples, wanted {frames * gen.hop}"
+    if bundle.posterior is None:
+        return None, (
+            f"sample count is frames * {gen.hop}; posterior not checked: "
+            "load the model with load_model(..., posterior=True)"
+        )
     pc = bundle.config.posterior
     feats = rng.uniform(-1, 1, (pc.in_channels, 9)).astype(DTYPE)
     post = bundle.posterior.encode(feats)
@@ -432,11 +437,11 @@ def _verify_attention_degenerate(bundle: ModelBundle) -> tuple[bool, str]:
     return diff <= 1e-5, f"single-chunk stream vs full attention: max diff {diff:.2e}"
 
 
-def _verify_padding_probe(bundle: ModelBundle) -> tuple[bool, str] | None:
+def _verify_padding_probe(bundle: ModelBundle) -> tuple[bool | None, str]:
     z = bundle.tensors.get(PROBE_PREFIX + "z")
     want = bundle.tensors.get(PROBE_PREFIX + "wav")
     if z is None or want is None:
-        return None
+        return None, "probe tensors absent"
     got = bundle.generator.offline(np.asarray(z, dtype=DTYPE))
     if got.shape != want.shape:
         return False, f"probe waveform shape {got.shape}, stored {want.shape}"
@@ -448,7 +453,8 @@ def _verify_finite(bundle: ModelBundle) -> tuple[bool, str]:
     bad = [name for name, tensor in bundle.tensors.items() if not np.isfinite(tensor).all()]
     if bad:
         return False, f"non-finite values in {', '.join(bad)}"
-    return True, f"all {len(bundle.tensors)} tensors finite"
+    unread = "" if bundle.posterior is not None else "; the posterior's were not loaded"
+    return True, f"all {len(bundle.tensors)} tensors finite{unread}"
 
 
 def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list[dict]:
@@ -456,7 +462,10 @@ def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list
 
     Returns one report entry per requested check with ``status`` of
     ``pass``, ``fail``, or ``skip`` (a check whose preconditions are
-    absent, such as the padding probe on a file without probe tensors).
+    absent: the padding probe on a file without probe tensors, or
+    ``length_laws`` on a bundle loaded without its posterior encoder).  A
+    check that raises a ``ChunkvoxError`` fails with the error as its detail,
+    so one bad tensor cannot stop the rest of the report.
     """
     runners = {
         "conv_streaming": _verify_conv_streaming,
@@ -469,12 +478,10 @@ def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list
     _check_selection("verify", "check", checks, VERIFY_CHECKS)
     report = []
     for check in checks:
-        outcome = runners[check](bundle)
-        if outcome is None:
-            report.append({"check": check, "status": "skip", "detail": "probe tensors absent"})
-        else:
-            passed, detail = outcome
-            report.append(
-                {"check": check, "status": "pass" if passed else "fail", "detail": detail}
-            )
+        try:
+            passed, detail = runners[check](bundle)
+        except ChunkvoxError as exc:  # e.g. non-finite weights reaching a kernel's guard
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        status = "skip" if passed is None else "pass" if passed else "fail"
+        report.append({"check": check, "status": status, "detail": detail})
     return report

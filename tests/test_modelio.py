@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -10,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chunkvox.acoustic import ScoreSequence, posterior_tensor_shapes
 from chunkvox.cli import main as cli_main
 from chunkvox.decoder import AttentionLayerWeights, ChunkConfig, SmoothWeights
 from chunkvox.dsp import MelConfig
-from chunkvox.errors import ConfigError, FormatError
+from chunkvox.errors import ChunkvoxError, ConfigError, FormatError
 from chunkvox.modelio import (
     FrontendConfig,
     ModeFlags,
@@ -33,6 +36,7 @@ from chunkvox.modelio import (
     tensor_manifest,
 )
 from chunkvox.acoustic import PosteriorConfig
+from chunkvox.pipeline import MODES, synth, verify
 from chunkvox.convs import tap_major
 from chunkvox.vocoder import GeneratorConfig
 
@@ -78,6 +82,34 @@ def version_1_blob(tensors):
         blob += struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
         blob += arr.astype("<f4").tobytes()
     return blob
+
+
+def tensor_spans(raw):
+    """``(name, start, data_start, end)`` byte offsets of each tensor entry of
+    a weight file."""
+    (count,) = struct.unpack_from("<I", raw, 8)
+    at, spans = 12, []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, at)
+        name = raw[at + 2 : at + 2 + name_len].decode()
+        ndim = raw[at + 2 + name_len]
+        dims = struct.unpack_from(f"<{ndim}I", raw, at + 3 + name_len)
+        data = at + 3 + name_len + 4 * ndim
+        spans.append((name, at, data, data + 4 * math.prod(dims)))
+        at = spans[-1][3]
+    return spans
+
+
+@pytest.fixture
+def tiny_model(tmp_path):
+    """A saved ``tiny_config()`` model with its probe: config path, weights
+    path and the tensors written."""
+    cfg = tiny_config()
+    tensors = make_random_model(cfg, seed=7)
+    cpath, wpath = str(tmp_path / "config.json"), str(tmp_path / "weights.cssw")
+    save_config(cpath, cfg)
+    save_weights(wpath, tensors)
+    return cpath, wpath, tensors
 
 
 @pytest.fixture(scope="module")
@@ -543,7 +575,7 @@ class TestManifestAndBundle:
         cpath, wpath = str(tmp_path / "config.json"), str(tmp_path / "weights.cssw")
         save_config(cpath, cfg)
         save_weights(wpath, make_random_tensors(cfg, seed=3))
-        bundle = load_model(cpath, wpath)
+        bundle = load_model(cpath, wpath, posterior=True)
         kernels = [node.w for node in bundle.generator._nodes]
         kernels += [w for w, _, _, _ in bundle.posterior.weights.layers]
         kernels.append(bundle.posterior.weights.out_w)
@@ -648,3 +680,149 @@ class TestManifestAndBundle:
         bundle = build_bundle(cfg, make_random_tensors(cfg, seed=2))
         for i, w in enumerate(bundle.decoder_weights):
             assert w.check(cfg.chunk, i) == []
+
+
+class TestSynthesisOnlyLoad:
+    """``load_model`` checks the posterior's tensors but reads and keeps them
+    only with ``posterior=True``."""
+
+    def test_default_load_leaves_out_the_posterior(self, tiny_model):
+        cpath, wpath, tensors = tiny_model
+        lean = load_model(cpath, wpath)
+        full = load_model(cpath, wpath, posterior=True)
+        assert lean.posterior is None and full.posterior is not None
+        posterior = {name for name in tensors if name.startswith("posterior.")}
+        assert posterior and set(lean.tensors) == set(tensors) - posterior
+        assert set(full.tensors) == set(tensors)
+        for name, value in lean.tensors.items():
+            assert value.tobytes() == full.tensors[name].tobytes()
+
+    def test_nan_posterior_changes_no_sample_and_fails_verify(self, tmp_path, tiny_model, capsys):
+        cpath, wpath, tensors = tiny_model
+        poisoned = {
+            name: np.full_like(value, np.nan) if name.startswith("posterior.") else value
+            for name, value in tensors.items()
+        }
+        npath = str(tmp_path / "nan.cssw")
+        save_weights(npath, poisoned)
+        clean, nan = load_model(cpath, wpath), load_model(cpath, npath)
+        score = ScoreSequence(phonemes=(1, 2, 3), notes=(60, 0, 64), durations=(5, 6, 7))
+        for mode in MODES:
+            want, _ = synth(score, clean, mode=mode, eps_seed=3)
+            got, _ = synth(score, nan, mode=mode, eps_seed=3)
+            assert got.tobytes() == want.tobytes(), mode
+
+        # verify loads the posterior, so all six checks run: finite names it,
+        # and length_laws reports the encoder's NaN sigma instead of aborting.
+        assert cli_main(["verify", "--config", cpath, "--weights", npath]) == 0
+        report = {row["check"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+        assert len(report) == 6
+        assert report.pop("finite")["status"] == "fail"
+        laws = report.pop("length_laws")
+        assert laws["status"] == "fail" and laws["detail"].startswith("DomainError: sigma")
+        assert all(row["status"] == "pass" for row in report.values())
+        finite = verify(load_model(cpath, npath, posterior=True), ("finite",))[0]
+        assert "posterior.0.weight" in finite["detail"] and "prior.weight" not in finite["detail"]
+
+    def test_truncation_inside_the_posterior_section_names_the_tensor(self, tiny_model):
+        cpath, wpath, _ = tiny_model
+        raw = Path(wpath).read_bytes()
+        spans = [span for span in tensor_spans(raw) if span[0].startswith("posterior.")]
+        assert spans
+        for name, start, data, end in spans:
+            Path(wpath).write_bytes(raw[: (data + end) // 2])
+            for posterior in (False, True):
+                with pytest.raises(FormatError, match=f"data of {re.escape(repr(name))}"):
+                    load_model(cpath, wpath, posterior=posterior)
+            Path(wpath).write_bytes(raw[: start + 3])  # inside its name
+            with pytest.raises(FormatError, match="truncated weight file while reading name"):
+                load_model(cpath, wpath)
+
+    @pytest.mark.parametrize("fault", ["misshapen", "missing", "duplicated"])
+    def test_bad_posterior_tensor_rejected_naming_it(self, tmp_path, fault):
+        cfg = tiny_config()
+        tensors = make_random_model(cfg, seed=7)
+        name = "posterior.1.weight"
+        if fault == "misshapen":
+            out, cin, taps = tensors[name].shape
+            tensors[name] = np.zeros((out, cin, taps + 1), np.float32)
+        elif fault == "missing":
+            del tensors[name]
+        cpath, wpath = str(tmp_path / "config.json"), tmp_path / "weights.cssw"
+        save_config(cpath, cfg)
+        save_weights(str(wpath), tensors)
+        if fault == "duplicated":
+            raw = wpath.read_bytes()
+            _, start, _, end = next(span for span in tensor_spans(raw) if span[0] == name)
+            count = struct.pack("<I", len(tensors) + 1)
+            wpath.write_bytes(raw[:8] + count + raw[12:] + raw[start:end])
+        want = FormatError if fault == "duplicated" else ConfigError
+        for posterior in (False, True):
+            with pytest.raises(want, match=re.escape(name)):
+                load_model(cpath, str(wpath), posterior=posterior)
+
+    def test_version_1_file_loads_both_ways(self, tmp_path, tiny_model):
+        cpath, wpath, tensors = tiny_model
+        v1 = tmp_path / "v1.cssw"
+        v1.write_bytes(version_1_blob(tensors))
+        for posterior in (False, True):
+            want = load_model(cpath, wpath, posterior=posterior)
+            got = load_model(cpath, str(v1), posterior=posterior)
+            assert (got.posterior is None) is not posterior
+            assert list(got.tensors) == list(want.tensors)
+            for name, value in got.tensors.items():
+                assert value.tobytes() == want.tensors[name].tobytes()
+            arena = got.tensors["prior.weight"].base
+            assert arena.tobytes() == want.tensors["prior.weight"].base.tobytes()
+
+
+class TestArena:
+    @pytest.mark.parametrize("posterior", [False, True])
+    def test_arena_is_exactly_the_kept_tensors(self, default_weights, posterior):
+        """No float of the arena is left unwritten: it is the kept tensors'
+        data, tap-major, in file order, and nothing else."""
+        skip = {} if posterior else posterior_tensor_shapes(default_config().posterior)
+        loaded = load_weights(str(default_weights), skip=skip)
+        assert all(name.startswith("posterior.") is not posterior for name in skip)
+        assert len(loaded) == 126 - len(skip)
+        arena = loaded["frontend.phoneme_embed"].base
+        assert arena.flags.owndata and arena.ndim == 1
+        assert arena.size == sum(value.size for value in loaded.values())
+        packed = [np.swapaxes(v, 1, 2) if v.ndim == 3 else v for v in loaded.values()]
+        assert arena.tobytes() == b"".join(value.tobytes() for value in packed)
+
+
+class TestWeightFileFuzz:
+    def test_mutated_files_fail_only_with_chunkvox_errors(self, tiny_model):
+        """300 seeded mutations of a tiny model file: cut at a random offset,
+        one to three random header bytes flipped, or random bytes appended.
+        Each is loaded with and without the posterior: every failure is a
+        ``ChunkvoxError``, and both loads accept or reject it alike."""
+        cpath, wpath, _ = tiny_model
+        raw = Path(wpath).read_bytes()
+        header = [*range(12)]
+        header += [i for _, start, data, _ in tensor_spans(raw) for i in range(start, data)]
+        rng = np.random.default_rng(18)
+        outcomes = {}
+        for trial in range(300):
+            kind = ("cut", "flip", "append")[trial % 3]
+            if kind == "cut":
+                blob = raw[: int(rng.integers(len(raw)))]
+            elif kind == "flip":
+                blob = bytearray(raw)
+                for at in rng.choice(header, size=int(rng.integers(1, 4)), replace=False):
+                    blob[at] ^= int(rng.integers(1, 256))
+            else:
+                blob = raw + rng.bytes(int(rng.integers(1, 17)))
+            Path(wpath).write_bytes(blob)
+            results = []
+            for posterior in (False, True):
+                try:
+                    load_model(cpath, wpath, posterior=posterior)
+                    results.append("ok")
+                except ChunkvoxError as exc:
+                    results.append(type(exc).__name__)
+            assert results[0] == results[1], (trial, kind, results)
+            outcomes.setdefault(kind, set()).add(results[0])
+        assert outcomes["cut"] == outcomes["append"] == {"FormatError"}
+        assert {"FormatError", "ConfigError"} <= outcomes["flip"]

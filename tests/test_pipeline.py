@@ -409,6 +409,24 @@ class TestVerify:
         report = verify(bundle, ("padding_probe",))
         assert report[0]["status"] == "fail"
 
+    def test_length_laws_skipped_without_the_posterior(self):
+        cfg = tiny_config()
+        bundle = build_bundle(cfg, make_random_model(cfg, seed=1), posterior=False)
+        report = {row["check"]: row for row in verify(bundle)}
+        laws = report.pop("length_laws")
+        assert laws["status"] == "skip" and "load_model(..., posterior=True)" in laws["detail"]
+        assert all(row["status"] == "pass" for row in report.values())
+        assert report["finite"]["detail"].endswith("the posterior's were not loaded")
+
+    def test_a_check_that_raises_is_a_failed_row(self):
+        cfg = tiny_config()
+        tensors = make_random_model(cfg, seed=3)
+        tensors["decoder.0.w_q"] = np.full_like(tensors["decoder.0.w_q"], np.nan)
+        report = {row["check"]: row for row in verify(build_bundle(cfg, tensors))}
+        degenerate = report["attention_degenerate"]
+        assert degenerate["status"] == "fail" and degenerate["detail"].startswith("DomainError")
+        assert report["finite"]["status"] == "fail" and report["causality"]["status"] == "pass"
+
     def test_finite_names_every_non_finite_tensor(self):
         cfg = tiny_config()
         tensors = make_random_model(cfg, seed=3)
