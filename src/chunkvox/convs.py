@@ -169,6 +169,14 @@ def _conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSp
     return acc
 
 
+# Input columns up to which a transposed conv runs as one stacked GEMM.  On the
+# default generator's four upsamplers (2-vCPU x86-64, OpenBLAS), one GEMM of
+# every tap took 0.20-0.89x the time of a GEMM per tap at 1-256 columns (1.02x
+# at the 8-channel up.3's 256), and 1.0-2.6x at 512 columns and more, where
+# its overlap-add of short strided rows costs more than the calls it saves.
+STACKED_MAX_COLS = 256
+
+
 def _tconv_cols(x: np.ndarray, w: np.ndarray, spec: ConvSpec, h: int, n: int) -> np.ndarray:
     """Overlap-add blocks ``h .. h + n - 1`` of a transposed convolution, no bias.
 
@@ -177,8 +185,18 @@ def _tconv_cols(x: np.ndarray, w: np.ndarray, spec: ConvSpec, h: int, n: int) ->
     so it skips the blocks below ``max(q - h, 0)``, which no frame feeds, and
     taps with ``q >= h + n`` feed none.  The ``q == 0`` taps cover every
     column and assign (``kernel_size >= stride``, as :class:`ConvSpec`
-    enforces); later taps add, in tap order.
+    enforces); later taps add, in order of ``q``.  Up to
+    ``STACKED_MAX_COLS`` blocks run as :func:`_tconv_cols_stacked`, more as
+    :func:`_tconv_cols_per_tap`; each sums a column's taps in the same order.
     """
+    cols = _tconv_cols_stacked if n <= STACKED_MAX_COLS else _tconv_cols_per_tap
+    return cols(x, w, spec, h, n)
+
+
+def _tconv_cols_per_tap(
+    x: np.ndarray, w: np.ndarray, spec: ConvSpec, h: int, n: int
+) -> np.ndarray:
+    """:func:`_tconv_cols` as one ``[out, in] @ [in, n]`` GEMM per tap."""
     s = spec.stride
     out = np.empty((spec.out_channels, n * s), dtype=DTYPE)
     for j in range(min(spec.kernel_size, (h + n) * s)):
@@ -189,6 +207,28 @@ def _tconv_cols(x: np.ndarray, w: np.ndarray, spec: ConvSpec, h: int, n: int) ->
             c0 = max(q - h, 0)
             out[:, c0 * s + r :: s] += w[:, :, j] @ x[:, h + c0 - q : h + n - q]
     return out
+
+
+def _tconv_cols_stacked(
+    x: np.ndarray, w: np.ndarray, spec: ConvSpec, h: int, n: int
+) -> np.ndarray:
+    """:func:`_tconv_cols` as one GEMM of every tap, then ``ceil(k / stride)`` adds.
+
+    A tap-major kernel's ``[out, taps, in]`` storage is the ``[out * taps,
+    in]`` matrix, so the GEMM reads it in place.  Its product over the frames
+    the blocks read holds each tap's row for each frame; the taps of one
+    ``q`` form one shifted ``[out, n, stride]`` block of the output.
+    """
+    s, k, cout = spec.stride, spec.kernel_size, spec.out_channels
+    lo = max(h - (k - 1) // s, 0)
+    y = (w.swapaxes(1, 2).reshape(cout * k, -1) @ x[:, lo : h + n]).reshape(cout, k, -1)
+    out = np.empty((cout, n, s), dtype=DTYPE)
+    out[...] = y[:, :s, h - lo : h + n - lo].transpose(0, 2, 1)
+    for q in range(1, min(math.ceil(k / s), h + n)):
+        c0, taps = max(q - h, 0), min(s, k - q * s)
+        rows = y[:, q * s : q * s + taps, h + c0 - q - lo : h + n - q - lo]
+        out[:, c0:, :taps] += rows.transpose(0, 2, 1)
+    return out.reshape(cout, n * s)
 
 
 def init_conv_state(spec: ConvSpec) -> ConvState:

@@ -10,10 +10,16 @@ blocks are decoded and how the vocoder's output is cut:
   ``PARALLEL_TILE`` frames into one buffer that is yielded once.  Nothing
   is emitted early, so time to first audio equals total processing time.
 * ``semi``: one full self-attention block, vocoded ``chunk_size`` frames
-  at a time; audio exists as soon as the first chunk is vocoded.
+  at a time.
 * ``full``: the chunkwise streaming decoder emits ``chunk_size`` blocks,
   each vocoded as it arrives; both latency and memory stay bounded by
   the chunk geometry.
+
+In ``semi`` and ``full`` the first decoded frame is vocoded and yielded
+alone, then the rest of its block: first audio waits for one frame of the
+causal vocoder, its unit, not for a whole chunk.  The vocoder's output does
+not depend on how its input is cut, so this moves audio only by float
+association.
 
 All modes consume the same seeded noise rows in frame order, so their
 outputs are comparable sample for sample.  Memory grows linearly with
@@ -109,9 +115,15 @@ class StreamMetrics:
     """Timing facts for one synthesis run.
 
     ``latency_s`` is the processing time until the first audio samples
-    exist; in parallel mode that is the entire run by definition.  Both
+    exist; in parallel mode that is the entire run by definition, and in
+    ``semi`` and ``full`` the time to vocode the first decoded frame.  Both
     ``latency_s`` and ``process_time_s`` start after :func:`score_to_frames`
     has embedded and length-regulated the score, so they leave that step out.
+
+    ``min_slack_s`` is the worst real-time slack: the minimum, over every
+    emission after the first, of first audio plus the audio already emitted
+    minus the emission's time.  A listener who starts playing at first audio
+    runs dry when it is negative.  It is None for a single emission.
     """
 
     mode: str
@@ -120,6 +132,7 @@ class StreamMetrics:
     sample_rate: int
     latency_s: float
     process_time_s: float
+    min_slack_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -148,6 +161,7 @@ class StreamMetrics:
             "latency_s": self.latency_s,
             "process_time_s": self.process_time_s,
             "rtf": self.rtf,
+            "min_slack_s": self.min_slack_s,
         }
 
 
@@ -162,8 +176,11 @@ def synth_chunks(
     generator seeded with ``eps_seed``; since split draws equal one whole
     draw, frame ``t`` takes the same noise row in every mode.  The chunks
     concatenate to exactly ``total_frames * hop`` samples.  ``parallel``
-    yields one chunk; ``semi`` and ``full`` yield one per ``chunk_size``
-    frames.  Arguments are as for :func:`synth`.
+    yields one chunk.  ``semi`` and ``full`` yield the first frame's ``hop``
+    samples alone, then the rest of the first ``chunk_size`` block, then one
+    chunk per ``chunk_size`` frames: ``ceil(frames / chunk_size)`` chunks,
+    plus one when the first block has more than one frame.  Arguments are as
+    for :func:`synth`.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -193,8 +210,11 @@ def _chunk_loop(
     state = gen.create_state()
     done = index = 0
     for decoded in _decoded_blocks(frames, bundle, mode):
-        for lo in range(0, decoded.shape[0], tile):
-            mu, sigma = _prior_split(decoded[lo : lo + tile], bundle)
+        cuts = list(range(0, decoded.shape[0], tile)) + [decoded.shape[0]]
+        if wav is None and done == 0 and cuts[1] > 1:
+            cuts.insert(1, 1)  # first audio after one vocoded frame
+        for lo, hi in zip(cuts, cuts[1:]):
+            mu, sigma = _prior_split(decoded[lo:hi], bundle)
             eps = rng.standard_normal((mu.shape[0], latent)).astype(DTYPE)
             state, audio = gen.stream(state, (mu + sigma * eps).T)
             if wav is None:
@@ -233,16 +253,21 @@ def synth(
     Returns:
         ``(wav, metrics)`` where ``wav`` has exactly
         ``total_frames * hop`` samples in ``(-1, 1)``.  The clock behind
-        ``metrics.latency_s`` and ``metrics.process_time_s`` starts after
-        :func:`score_to_frames`, so neither counts embedding the score.
+        ``metrics`` starts after :func:`score_to_frames`, so no timing
+        counts embedding the score; it is read once per chunk.
     """
     chunks = synth_chunks(score, bundle, mode, eps_seed)
+    rate = bundle.config.mel.sample_rate
     start = time.perf_counter()
-    latency = None
+    latency = slack = None
     parts = []
     for audio in chunks:
-        if latency is None and audio.size:
-            latency = time.perf_counter() - start
+        now = time.perf_counter() - start
+        if latency is None:
+            latency = ahead = now
+        else:
+            slack = ahead - now if slack is None else min(slack, ahead - now)
+        ahead += audio.shape[0] / rate
         parts.append(audio)
     wav = parts[0] if len(parts) == 1 else np.concatenate(parts)
     total = time.perf_counter() - start
@@ -254,9 +279,10 @@ def synth(
         mode=mode,
         frames=t,
         samples=wav.shape[0],
-        sample_rate=bundle.config.mel.sample_rate,
+        sample_rate=rate,
         latency_s=total if mode == "parallel" else latency,
         process_time_s=total,
+        min_slack_s=slack,
     )
     return wav, metrics
 
@@ -319,7 +345,8 @@ def bench(
 
     Every (mode, score) pair runs ``warmup`` unmeasured passes, then
     ``repeats`` measured ones; per-mode numbers are medians over all
-    measured runs of all scores.
+    measured runs of all scores.  ``median_min_slack_s`` is over the runs
+    that emitted more than once, and None when none did.
     """
     if not scores:
         raise ConfigError("bench needs at least one score")
@@ -328,7 +355,7 @@ def bench(
         raise ConfigError("repeats must be >= 1 and warmup >= 0")
     results = {}
     for mode in modes:
-        latencies, processes, rtfs = [], [], []
+        latencies, processes, rtfs, slacks = [], [], [], []
         for score in scores:
             for _ in range(warmup):
                 synth(score, bundle, mode=mode, eps_seed=seed)
@@ -337,10 +364,13 @@ def bench(
                 latencies.append(m.latency_s)
                 processes.append(m.process_time_s)
                 rtfs.append(m.rtf)
+                if m.min_slack_s is not None:
+                    slacks.append(m.min_slack_s)
         results[mode] = {
             "median_latency_s": statistics.median(latencies),
             "median_process_time_s": statistics.median(processes),
             "median_rtf": statistics.median(rtfs),
+            "median_min_slack_s": statistics.median(slacks) if slacks else None,
             "runs": len(latencies),
         }
     return {

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from netgen import (
     naive_causal_conv,
     naive_causal_tconv,
+    naive_tconv_raw,
     rand_conv_case,
     rand_natural_net,
     random_chunking,
 )
 
+from chunkvox import convs
 from chunkvox.convs import (
     ConvSpec,
+    ConvState,
     causal_conv1d_offline,
     causal_conv1d_step,
     causal_tconv1d_step,
@@ -335,6 +338,76 @@ class TestVocoderShapes:
             sizes = [width] * (self.FRAMES // width) + [self.FRAMES % width]
             got = stream_layer(x, w, b, spec, sizes)
             np.testing.assert_allclose(got, want, atol=1e-5, err_msg=f"width {width}")
+
+
+FORMULATIONS = [convs._tconv_cols_per_tap, convs._tconv_cols_stacked]
+
+
+@pytest.mark.parametrize("cols", FORMULATIONS, ids=["per_tap", "stacked"])
+class TestTconvFormulations:
+    """Each transposed-conv formulation against the per-frame loops, whatever
+    the shape rule would pick for the call."""
+
+    # (k, s): k = s and k < 2s pad nothing (h = 0), k = 5, s = 2 is not a
+    # multiple of its stride, and (16, 8) / (8, 4) are the generator's.
+    KERNELS = [(1, 1), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 3), (8, 4), (16, 8)]
+    LENGTHS = [1, 2, 7, convs.STACKED_MAX_COLS, convs.STACKED_MAX_COLS + 1]
+
+    @pytest.mark.parametrize("pad_mode", ["constant", "replicate"])
+    def test_fresh_stream_matches_naive(self, cols, pad_mode):
+        rng = np.random.default_rng(41)
+        for k, s in self.KERNELS:
+            spec = ConvSpec(3, 2, k, stride=s, transposed=True, pad_mode=pad_mode)
+            w = rng.normal(size=(2, 3, k)).astype(F32)
+            b = rng.normal(size=2).astype(F32)
+            for n in self.LENGTHS:
+                x = rng.normal(size=(3, n)).astype(F32)
+                xp = convs._extend(ConvState(), x, spec)
+                h = xp.shape[1] - n - max(left_context(spec) - 1, 0)
+                assert h == (1 if left_context(spec) else 0)
+                got = cols(xp, tap_major(w), spec, h, n) + b[:, None]
+                want = naive_causal_tconv(x, w, b, spec)
+                np.testing.assert_allclose(got, want, atol=1e-5, err_msg=f"k={k} s={s} n={n}")
+
+    def test_every_block_range_matches_naive_overlap_add(self, cols):
+        rng = np.random.default_rng(42)
+        for k, s in self.KERNELS:
+            spec = ConvSpec(3, 2, k, stride=s, transposed=True)
+            w = rng.normal(size=(2, 3, k)).astype(F32)
+            x = rng.normal(size=(3, 9)).astype(F32)
+            raw = naive_tconv_raw(x, w, s)
+            for h in range(x.shape[1]):
+                for n in range(1, x.shape[1] - h + 1):
+                    got = cols(x, w, spec, h, n)
+                    np.testing.assert_allclose(
+                        got, raw[:, h * s : (h + n) * s], atol=1e-5, err_msg=f"k={k} s={s} h={h} n={n}"
+                    )
+
+    @pytest.mark.parametrize("name", ["up.0", "up.1", "up.2", "up.3"])
+    def test_generator_layers_either_side_of_the_rule(self, cols, name):
+        spec = dict(_node_specs(default_config().generator, "replicate"))[name]
+        rng = np.random.default_rng(spec.in_channels)
+        shape = (spec.out_channels, spec.in_channels, spec.kernel_size)
+        w = tap_major(rng.normal(size=shape) / np.sqrt(spec.in_channels))
+        b = rng.normal(size=spec.out_channels).astype(F32)
+        for n in (convs.STACKED_MAX_COLS, convs.STACKED_MAX_COLS + 1):
+            x = rng.normal(size=(spec.in_channels, n)).astype(F32)
+            xp = convs._extend(ConvState(), x, spec)
+            got = cols(xp, w, spec, 1, n) + b[:, None]
+            np.testing.assert_allclose(got, naive_causal_tconv(x, w, b, spec), atol=1e-5)
+
+
+def test_shape_rule_stacks_up_to_the_bound(monkeypatch):
+    picked = []
+    for f in FORMULATIONS:
+        monkeypatch.setattr(convs, f.__name__, lambda *a, f=f: picked.append(f.__name__))
+    spec = ConvSpec(2, 2, 4, stride=2, transposed=True)
+    w = np.zeros((2, 2, 4), F32)
+    bound = convs.STACKED_MAX_COLS
+    for n in (1, bound, bound + 1, 4 * bound):
+        convs._tconv_cols(np.zeros((2, n + 1), F32), w, spec, 1, n)
+    stacked, per_tap = "_tconv_cols_stacked", "_tconv_cols_per_tap"
+    assert picked == [stacked, stacked, per_tap, per_tap]
 
 
 @st.composite

@@ -5,10 +5,12 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from chunkvox import pipeline
 from chunkvox.acoustic import ScoreSequence
 from chunkvox.cli import main as cli_main
 from chunkvox.errors import ConfigError, DomainError, ShapeError
@@ -222,13 +224,23 @@ class TestSynthChunks:
             assert np.concatenate(chunks).tobytes() == wav.tobytes()
 
     def test_chunk_counts_per_mode(self, bundle):
+        """One chunk per ``chunk_size`` frames, plus the first frame alone."""
         step = bundle.config.chunk.chunk_size
-        for frames in (1, step, step + 1, 3 * step + 2):
+        for frames in (1, 2, step, step + 1, 3 * step + 2):
             score = ScoreSequence(phonemes=(1,), notes=(60,), durations=(frames,))
             assert len(list(synth_chunks(score, bundle, "parallel"))) == 1
             for mode in ("semi", "full"):
                 chunks = list(synth_chunks(score, bundle, mode))
-                assert len(chunks) == math.ceil(frames / step)
+                assert len(chunks) == math.ceil(frames / step) + (frames > 1)
+
+    @pytest.mark.parametrize("mode", ["semi", "full"])
+    def test_first_chunk_is_one_frame(self, bundle, mode):
+        step, hop = bundle.config.chunk.chunk_size, bundle.generator.hop
+        score = ScoreSequence(phonemes=(1, 2), notes=(60, 62), durations=(step, step + 3))
+        sizes = [c.shape[0] for c in synth_chunks(score, bundle, mode)]
+        assert sizes == [hop, (step - 1) * hop, step * hop, 3 * hop]
+        one = ScoreSequence(phonemes=(1,), notes=(60,), durations=(1,))
+        assert [c.shape[0] for c in synth_chunks(one, bundle, mode)] == [hop]
 
     def test_unknown_mode_raises_at_call(self, bundle):
         with pytest.raises(ConfigError, match="mode"):
@@ -286,11 +298,42 @@ class TestStreamMetrics:
     def test_to_dict_round_trips_json(self):
         m = StreamMetrics(
             mode="semi", frames=2, samples=8, sample_rate=4,
-            latency_s=0.5, process_time_s=1.0,
+            latency_s=0.5, process_time_s=1.0, min_slack_s=-0.25,
         )
         d = json.loads(json.dumps(m.to_dict()))
         assert d["rtf"] == pytest.approx(0.5)
         assert d["audio_s"] == pytest.approx(2.0)
+        assert d["min_slack_s"] == -0.25
+
+
+def scripted_clock(monkeypatch, *readings):
+    """Make ``synth``'s clock return ``readings`` in order, and only those."""
+    ticks = iter(readings)
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    return ticks
+
+
+class TestMinSlack:
+    """Worst real-time slack from a scripted clock, one reading per chunk."""
+
+    def test_worst_emission_after_the_first(self, bundle, monkeypatch):
+        # 10 frames of 5 ms (hop 4 at 800 Hz) come as 1, 3, 4 and 2 frames.
+        score = ScoreSequence(phonemes=(1,), notes=(60,), durations=(10,))
+        ticks = scripted_clock(monkeypatch, 1.000, 1.010, 1.012, 1.040, 1.041, 1.050)
+        _, m = synth(score, bundle, mode="full")
+        assert next(ticks, None) is None
+        assert m.latency_s == pytest.approx(0.010)
+        assert m.process_time_s == pytest.approx(0.050)
+        # Slack after each earlier emission: 10 + 5 - 12, 10 + 20 - 40 and 10 + 40 - 41 ms.
+        assert m.min_slack_s == pytest.approx(-0.010)
+
+    @pytest.mark.parametrize("mode, frames", [("parallel", 10), ("semi", 1), ("full", 1)])
+    def test_none_for_a_single_emission(self, bundle, monkeypatch, mode, frames):
+        score = ScoreSequence(phonemes=(1,), notes=(60,), durations=(frames,))
+        scripted_clock(monkeypatch, 2.0, 2.5, 3.0)
+        _, m = synth(score, bundle, mode=mode)
+        assert m.min_slack_s is None
+        assert m.latency_s == pytest.approx(1.0 if mode == "parallel" else 0.5)
 
 
 class TestWavIO:
@@ -344,6 +387,8 @@ class TestBench:
             assert stats["runs"] == 2
             assert stats["median_latency_s"] >= 0
             assert stats["median_rtf"] > 0
+        assert report["modes"]["parallel"]["median_min_slack_s"] is None
+        assert isinstance(report["modes"]["full"]["median_min_slack_s"], float)
         assert report["machine"]
 
     def test_rejects_empty_scores(self, bundle):
