@@ -15,13 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convs import (
-    ConvSpec,
-    ConvState,
-    _conv_valid,
-    causal_conv1d_step,
-    init_conv_state,
-)
+from .convs import ConvSpec, ConvState, causal_conv1d_step, init_conv_state
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .kernels import DTYPE, layer_norm, relu
 
@@ -65,9 +59,9 @@ class ScoreSequence:
 def parse_score(text: str) -> ScoreSequence:
     """Parse the three-column score format.
 
-    One entry per line: ``phoneme<TAB>note_id<TAB>duration_frames``; the
-    note column is ``-`` for every line of a pitch-free score.  Blank lines
-    and ``#`` comments are skipped.
+    One entry per line: ``phoneme<TAB>note_id<TAB>duration_frames``, each
+    field ASCII decimal digits; the note column is ``-`` for every line of a
+    pitch-free score.  Blank lines and ``#`` comments are skipped.
 
     Raises:
         FormatError: On malformed lines, mixed pitched/unpitched rows, or an
@@ -84,21 +78,15 @@ def parse_score(text: str) -> ScoreSequence:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        try:
-            phonemes.append(int(parts[0]))
-            durations.append(int(parts[2]))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-integer phoneme or duration") from exc
+        phonemes.append(_decimal(parts[0], lineno, "phoneme"))
+        durations.append(_decimal(parts[2], lineno, "duration"))
         pitched = parts[1] != "-"
         if has_notes is None:
             has_notes = pitched
         elif has_notes != pitched:
             raise FormatError(f"line {lineno}: mixed pitched and unpitched entries")
         if pitched:
-            try:
-                notes.append(int(parts[1]))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-integer note id") from exc
+            notes.append(_decimal(parts[1], lineno, "note id"))
     if not phonemes:
         raise FormatError("score has no entries")
     return ScoreSequence(
@@ -108,9 +96,21 @@ def parse_score(text: str) -> ScoreSequence:
     )
 
 
+def _decimal(field: str, lineno: int, what: str) -> int:
+    """``field`` as an int; only ASCII decimal digits are accepted, not the
+    signs, underscores, spaces or other scripts' digits ``int`` also reads."""
+    if not (field.isascii() and field.isdigit()):
+        raise FormatError(f"line {lineno}: {what} {field!r} is not a decimal integer")
+    return int(field)
+
+
 def load_score(path: str) -> ScoreSequence:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_score(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"score {path} is not UTF-8: {exc.reason}") from exc
+    return parse_score(text)
 
 
 def length_regulate(vectors: np.ndarray, durations) -> np.ndarray:
@@ -305,19 +305,10 @@ class PosteriorEncoder:
         return feats.astype(DTYPE, copy=False)
 
     def encode(self, feats: np.ndarray) -> GaussianParams:
-        """Whole-sequence encoding of ``[in_channels, frames]`` features.
-
-        A causal encoder feeds the sequence to a fresh stream as one chunk.
-        """
-        if self.causal:
-            return self.encode_step(self.create_state(), feats)[1]
-        x = self._features(feats)
-        half = (self.cfg.kernel_size - 1) // 2
-        for spec, (w, b, gamma, beta) in zip(self._conv_specs(), self.weights.layers):
-            x = _conv_valid(np.pad(x, ((0, 0), (half, half))), w, b, spec)
-            x = relu(layer_norm(x.T, gamma, beta)).T
-        head = self.weights.out_w[:, :, 0] @ x + self.weights.out_b[:, None]
-        return self._split(head)
+        """Whole-sequence encoding of ``[in_channels, frames]`` features: a
+        fresh stream's one chunk, every layer symmetric unless causal."""
+        half = 0 if self.causal else (self.cfg.kernel_size - 1) // 2
+        return self._run([ConvState()] * self.cfg.num_layers, feats, half)[1]
 
     def create_state(self) -> list[ConvState]:
         if not self.causal:
@@ -330,12 +321,23 @@ class PosteriorEncoder:
         """Streaming encoding; concatenated chunks match :meth:`encode`."""
         if not self.causal:
             raise ConfigError("streaming requires a causal posterior encoder")
+        return self._run(states, feats, 0)
+
+    def _run(self, states: list[ConvState], feats: np.ndarray, half: int):
+        """``(next_states, params)``: each layer a causal step fed ``half`` zero
+        frames after the chunk, its first ``half`` outputs dropped, so output
+        ``t`` reads frames ``t - half .. t + half``, zeros past either end."""
         x = self._features(feats)
+        if len(states) != len(self.weights.layers):
+            raise ShapeError(f"{len(states)} states for {len(self.weights.layers)} layers")
         nxt = []
         for state, spec, (w, b, gamma, beta) in zip(
             states, self._conv_specs(), self.weights.layers
         ):
+            if half:
+                x = np.pad(x, ((0, 0), (0, half)))
             state, x = causal_conv1d_step(state, x, w, b, spec)
+            x = x[:, half:]
             if x.shape[1]:
                 x = relu(layer_norm(x.T, gamma, beta)).T
             nxt.append(state)

@@ -38,6 +38,10 @@ from .modelio import (
 from .pipeline import MODES, VERIFY_CHECKS, bench, synth, verify, write_wav
 
 
+# ChunkConfig fields that synth can override, each by its own option.
+_CHUNK_OVERRIDES = ("chunk_size", "left_context", "right_context")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chunkvox", description="Streaming singing synthesizer")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metrics", help="also write timing metrics JSON here")
-    p.add_argument("--chunk-size", type=int, help="override config chunk size")
-    p.add_argument("--left-context", type=int, help="override config left context")
-    p.add_argument("--right-context", type=int, help="override config right context")
+    for name in _CHUNK_OVERRIDES:
+        words = name.split("_")
+        p.add_argument("--" + "-".join(words), type=int, help="override config " + " ".join(words))
 
     p = sub.add_parser("bench", help="compare decoding modes on a directory of scores")
     add_model_args(p)
@@ -91,13 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_with_overrides(args: argparse.Namespace):
     bundle = load_model(args.config, args.weights)
-    overrides = {}
-    if getattr(args, "chunk_size", None) is not None:
-        overrides["chunk_size"] = args.chunk_size
-    if getattr(args, "left_context", None) is not None:
-        overrides["left_context"] = args.left_context
-    if getattr(args, "right_context", None) is not None:
-        overrides["right_context"] = args.right_context
+    overrides = {k: getattr(args, k) for k in _CHUNK_OVERRIDES if getattr(args, k) is not None}
     if overrides:
         cfg = replace(bundle.config, chunk=replace(bundle.config.chunk, **overrides))
         bundle = replace(bundle, config=cfg)

@@ -186,11 +186,10 @@ def decoder_tensor_shapes(cfg: ChunkConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class SmoothState:
-    """Both smoothing convs' carried history, and the spec they share."""
+    """Both smoothing convs' carried history."""
 
     conv1: ConvState
     conv2: ConvState
-    spec: ConvSpec
 
 
 @dataclass
@@ -215,6 +214,8 @@ class DecoderState:
     layers: list[_LayerState]
 
 
+# Cached: every smoothing call reads its conv spec from here.
+@lru_cache(maxsize=8)
 def _smooth_conv_spec(cfg: ChunkConfig) -> ConvSpec:
     return ConvSpec(cfg.hidden, cfg.hidden, cfg.smooth_kernel, pad_mode="constant")
 
@@ -225,7 +226,7 @@ def init_decoder_state(cfg: ChunkConfig) -> DecoderState:
     layers = []
     for _ in range(cfg.num_layers):
         smooth = (
-            SmoothState(conv1=init_conv_state(spec), conv2=init_conv_state(spec), spec=spec)
+            SmoothState(conv1=init_conv_state(spec), conv2=init_conv_state(spec))
             if cfg.use_smooth
             else None
         )
@@ -287,14 +288,14 @@ def causal_smooth_layer(
     ``commit`` the whole chunk is smoothed but the state advances over its
     first ``commit`` frames only (see :func:`causal_conv1d_step`).
     """
-    spec = state.spec
     if chunk.shape[0] == 0:
         return chunk, state
+    spec = _smooth_conv_spec(cfg)
     s1, y = causal_conv1d_step(state.conv1, chunk.T, w.conv1_w, w.conv1_b, spec, commit)
     y = _norm_frames(y, w.norm1_gamma, w.norm1_beta)
     s2, y2 = causal_conv1d_step(state.conv2, y.T, w.conv2_w, w.conv2_b, spec, commit)
     out = _norm_frames(y2, w.norm2_gamma, w.norm2_beta)
-    return out, SmoothState(conv1=s1, conv2=s2, spec=spec)
+    return out, SmoothState(conv1=s1, conv2=s2)
 
 
 def _norm_frames(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:

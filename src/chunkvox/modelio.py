@@ -45,7 +45,7 @@ from .acoustic import PosteriorConfig, PosteriorEncoder, PosteriorWeights, poste
 from .convs import tap_major
 from .decoder import AttentionLayerWeights, ChunkConfig, decoder_tensor_shapes
 from .dsp import MelConfig
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_shapes
 from .kernels import DTYPE
 from .vocoder import Generator, GeneratorConfig, generator_tensor_shapes
 
@@ -143,15 +143,7 @@ def load_weights(
         if left:
             raise FormatError(f"{left} trailing bytes after last tensor")
         # After every structural check, as build_bundle checks the tensors it binds.
-        problems = [
-            f"tensor {name} has shape {shapes[name]}, wants {shape}"
-            if name in shapes
-            else f"missing tensor {name}"
-            for name, shape in skip.items()
-            if shapes.get(name) != shape
-        ]
-        if problems:
-            raise ConfigError("; ".join(problems))
+        check_shapes(shapes, skip)
 
         arena = np.empty(sum(math.prod(dims) for _, dims, _ in kept), dtype="<f4")
         tensors: dict[str, np.ndarray] = {}
@@ -354,6 +346,8 @@ def load_config(path: str) -> ModelConfig:
             obj = json.load(f)
         except json.JSONDecodeError as exc:
             raise FormatError(f"config is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"config {path} is not UTF-8: {exc.reason}") from exc
     return config_from_json(obj)
 
 
@@ -414,14 +408,7 @@ def build_bundle(
     """
     skipped = {} if posterior else posterior_tensor_shapes(cfg.posterior)
     manifest = {n: s for n, s in tensor_manifest(cfg).items() if n not in skipped}
-    problems = []
-    for name, shape in manifest.items():
-        if name not in tensors:
-            problems.append(f"missing tensor {name}")
-        elif tuple(tensors[name].shape) != shape:
-            problems.append(f"tensor {name} has shape {tuple(tensors[name].shape)}, wants {shape}")
-    if problems:
-        raise ConfigError("; ".join(problems))
+    check_shapes({name: t.shape for name, t in tensors.items()}, manifest)
 
     # Every 3-D tensor in the manifest is a conv kernel.  Loaded kernels are
     # tap-major already and pass through as views; in-memory ones are copied.

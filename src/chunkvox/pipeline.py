@@ -207,7 +207,7 @@ def _chunk_loop(
         tile, wav = PARALLEL_TILE, np.empty(frames.shape[0] * gen.hop, dtype=DTYPE)
     else:
         tile, wav = bundle.config.chunk.chunk_size, None
-    state = gen.create_state()
+    states = gen.create_state()
     done = index = 0
     for decoded in _decoded_blocks(frames, bundle, mode):
         cuts = list(range(0, decoded.shape[0], tile)) + [decoded.shape[0]]
@@ -216,7 +216,7 @@ def _chunk_loop(
         for lo, hi in zip(cuts, cuts[1:]):
             mu, sigma = _prior_split(decoded[lo:hi], bundle)
             eps = rng.standard_normal((mu.shape[0], latent)).astype(DTYPE)
-            state, audio = gen.stream(state, (mu + sigma * eps).T)
+            states, audio = gen.stream(states, (mu + sigma * eps).T)
             if wav is None:
                 yield _finite(audio, index)
                 index += 1

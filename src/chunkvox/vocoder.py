@@ -13,7 +13,7 @@ stage strides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +26,7 @@ from .convs import (
     conv_step,
     init_conv_state,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_shapes
 from .kernels import DTYPE, leaky_relu
 
 LEAKY_SLOPE = 0.1
@@ -110,13 +110,6 @@ class _Node:
     b: np.ndarray
 
 
-@dataclass
-class GeneratorState:
-    """Streaming state: one ConvState per node, in traversal order."""
-
-    states: list[ConvState] = field(default_factory=list)
-
-
 # Cached: every build_bundle lists the tensors and builds a Generator.
 @lru_cache(maxsize=8)
 def _node_specs(cfg: GeneratorConfig, pad_mode: str) -> tuple[tuple[str, ConvSpec], ...]:
@@ -160,16 +153,7 @@ class Generator:
         self.cfg = cfg
         self.pad_mode = pad_mode
         specs = _node_specs(cfg, pad_mode)
-        problems = []
-        for name, shape in _tensor_shapes(specs).items():
-            if name not in tensors:
-                problems.append(f"missing tensor {name}")
-            elif tuple(tensors[name].shape) != shape:
-                problems.append(
-                    f"tensor {name} has shape {tuple(tensors[name].shape)}, wants {shape}"
-                )
-        if problems:
-            raise ConfigError("; ".join(problems))
+        check_shapes({name: t.shape for name, t in tensors.items()}, _tensor_shapes(specs))
         self._nodes = [
             _Node(
                 name,
@@ -229,17 +213,19 @@ class Generator:
             return np.zeros(0, dtype=DTYPE)
         return self._walk(z, None)
 
-    def create_state(self) -> GeneratorState:
-        return GeneratorState(states=[init_conv_state(node.spec) for node in self._nodes])
+    def create_state(self) -> list[ConvState]:
+        """Fresh streaming state: one ConvState per node, in traversal order."""
+        return [init_conv_state(node.spec) for node in self._nodes]
 
-    def stream(self, state: GeneratorState, z_chunk: np.ndarray) -> tuple[GeneratorState, np.ndarray]:
-        """Feed latent frames; returns exactly ``frames * hop`` samples."""
+    def stream(
+        self, states: list[ConvState], z_chunk: np.ndarray
+    ) -> tuple[list[ConvState], np.ndarray]:
+        """Feed latent frames; returns new states and exactly ``frames * hop`` samples."""
         z_chunk = self._check_latents(z_chunk)
-        if len(state.states) != len(self._nodes):
+        if len(states) != len(self._nodes):
             raise ShapeError("generator state does not match this graph")
         if z_chunk.shape[1] == 0:
-            return state, np.zeros(0, dtype=DTYPE)
-        states = list(state.states)
-        wav = self._walk(z_chunk, states)
-        return GeneratorState(states=states), wav
+            return states, np.zeros(0, dtype=DTYPE)
+        states = list(states)
+        return states, self._walk(z_chunk, states)
 

@@ -56,6 +56,20 @@ class TestScoreParsing:
         with pytest.raises(FormatError):
             parse_score("1\tx\t3\n")
 
+    @pytest.mark.parametrize(
+        "field",
+        ["1_0", "\u0663", "\u00b3", "+3", "-3", ""],
+        ids=["underscore", "arabic-indic", "superscript", "plus", "minus", "empty"],
+    )
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_only_ascii_decimal_digits_accepted(self, field, column):
+        """``int`` reads ``1_0`` as 10 and Arabic-Indic three as 3; the format
+        takes ASCII digits only, and ``-`` only as the whole note column."""
+        row = ["7", "61", "2"]
+        row[column] = field
+        with pytest.raises(FormatError, match="line 2"):
+            parse_score("5\t60\t4\n" + "\t".join(row) + "\n")
+
     def test_empty_score_rejected(self):
         with pytest.raises(FormatError):
             parse_score("# nothing\n")
@@ -236,6 +250,35 @@ class TestAcousticChannels:
             acoustic_channels(np.zeros((1, 2), F32), np.array([-1.0], F32))
 
 
+def symmetric_posterior_oracle(weights, feats):
+    """A non-causal posterior encoder as float64 per-frame loops.
+
+    Each layer's output frame ``t`` sums tap ``j`` of the kernel against
+    input frame ``t - half + j`` (``half = (kernel - 1) // 2``), taking zeros
+    past either end of the sequence; then layer norm over channels (variance
+    floor 1e-5) and relu.  A pointwise head gives mean and log-sigma.
+    Shares no code with :mod:`chunkvox.convs` or :mod:`chunkvox.kernels`.
+    """
+    x = feats.astype(np.float64)
+    for w, b, gamma, beta in weights.layers:
+        w = w.astype(np.float64)
+        k, n = w.shape[2], x.shape[1]
+        half = (k - 1) // 2
+        y = np.empty((w.shape[0], n))
+        for t in range(n):
+            acc = b.astype(np.float64)
+            for j in range(k):
+                if 0 <= t - half + j < n:
+                    acc = acc + w[:, :, j] @ x[:, t - half + j]
+            mean = acc.mean()
+            var = ((acc - mean) ** 2).mean()
+            y[:, t] = (acc - mean) / math.sqrt(var + 1e-5) * gamma + beta
+        x = np.maximum(y, 0.0)
+    head = weights.out_w[:, :, 0].astype(np.float64) @ x + weights.out_b[:, None]
+    d = head.shape[0] // 2
+    return head[:d].T, np.exp(head[d:].T)
+
+
 class TestPosteriorEncoder:
     CFG = PosteriorConfig(mcep_dim=6, hidden_channels=8, num_layers=2, kernel_size=3, latent_dim=4)
 
@@ -300,6 +343,37 @@ class TestPosteriorEncoder:
         feats2[:, 8] += 1.0
         other = enc.encode(feats2)
         assert not np.array_equal(base.mu[7], other.mu[7])
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("frames", [1, 2, 5, 37])
+    def test_noncausal_matches_symmetric_window_oracle(self, kernel, frames):
+        cfg = PosteriorConfig(
+            mcep_dim=6, hidden_channels=16, num_layers=3, kernel_size=kernel, latent_dim=4
+        )
+        rng = np.random.default_rng(100 * kernel + frames)
+        w = rand_posterior_weights(rng, cfg)
+        feats = rng.normal(size=(cfg.in_channels, frames)).astype(F32)
+        got = PosteriorEncoder(cfg, w, causal=False).encode(feats)
+        mu, sigma = symmetric_posterior_oracle(w, feats)
+        np.testing.assert_allclose(got.mu, mu, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(got.sigma, sigma, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("frames", [1, 5, 37])
+    def test_causal_encode_is_one_chunk_of_encode_step(self, frames):
+        rng = np.random.default_rng(9)
+        enc = PosteriorEncoder(self.CFG, rand_posterior_weights(rng, self.CFG), causal=True)
+        feats = self.rand_feats(rng, frames)
+        want = enc.encode(feats)
+        _, got = enc.encode_step(enc.create_state(), feats)
+        np.testing.assert_array_equal(got.mu, want.mu)
+        np.testing.assert_array_equal(got.sigma, want.sigma)
+
+    def test_state_count_must_match_layers(self):
+        rng = np.random.default_rng(10)
+        enc = PosteriorEncoder(self.CFG, rand_posterior_weights(rng, self.CFG), causal=True)
+        for states in (enc.create_state()[:1], enc.create_state() * 2):
+            with pytest.raises(ShapeError):
+                enc.encode_step(states, self.rand_feats(rng, 3))
 
     def test_streaming_requires_causal_mode(self):
         rng = np.random.default_rng(7)

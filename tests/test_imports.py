@@ -1,8 +1,9 @@
-"""Lint: every module of the package, the tests and perfbench uses what it imports.
+"""Lint: every module of the package, the tests and perfbench uses what it
+imports, and no package module imports another's private names.
 
 A standard-library AST scan, so it runs wherever the tests run.  Package
 ``__init__.py`` files only re-export and ``from __future__`` imports bind
-no name, so both are skipped.
+no name, so both are skipped.  Tests may import private names.
 """
 
 import ast
@@ -43,3 +44,35 @@ def test_no_unused_imports():
 def test_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, sys.path\nfrom a import b as c\n"
     assert unused_imports(source + "sys.exit(c)\n") == [(2, "os")]
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each ``_``-prefixed name imported from chunkvox or
+    from a relative module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "chunkvox"
+        ):
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_private_cross_module_imports():
+    paths = sorted(ROOT.glob("src/chunkvox/*.py"))
+    assert len(paths) > 5
+    private = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
+        for line, name in private_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert private == []
+
+
+def test_scan_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "from .convs import ConvSpec, _conv_valid\nfrom chunkvox.decoder import _mha\n"
+        "from . import _x\n"
+    )
+    assert private_imports(source) == [(3, "_conv_valid"), (4, "_mha"), (5, "_x")]

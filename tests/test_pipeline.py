@@ -641,6 +641,27 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and err["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["synth", "verify", "bench"])
+    def test_non_utf8_input_is_json_format_error(self, tmp_path, capsys, command):
+        """A score (synth, bench) or config (verify) that is not UTF-8 is a
+        FormatError naming the file, not a traceback."""
+        cpath, wpath = write_model_files(tmp_path)
+        bad = tmp_path / "bad" / "score.tsv"
+        bad.parent.mkdir()
+        bad.write_bytes(b"\xff\xfe1\t60\t3\n")
+        extra = {
+            "synth": ["--score", str(bad), "--out", str(tmp_path / "o.wav")],
+            "verify": [],
+            "bench": ["--scores", str(bad.parent)],
+        }[command]
+        config = str(bad) if command == "verify" else cpath
+        args = [command, "--config", config, "--weights", wpath, *extra]
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "FormatError" and str(bad) in err["message"]
+
     def test_corrupt_weights_error_is_json(self, tmp_path, capsys):
         cpath, wpath = write_model_files(tmp_path)
         raw = bytearray(Path(wpath).read_bytes())
