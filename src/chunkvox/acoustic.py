@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .convs import ConvSpec, ConvState, causal_conv1d_step, init_conv_state
-from .errors import ConfigError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, check_shapes
 from .kernels import DTYPE, layer_norm, relu
 
 
@@ -61,7 +61,8 @@ def parse_score(text: str) -> ScoreSequence:
 
     One entry per line: ``phoneme<TAB>note_id<TAB>duration_frames``, each
     field ASCII decimal digits; the note column is ``-`` for every line of a
-    pitch-free score.  Blank lines and ``#`` comments are skipped.
+    pitch-free score.  A leading or trailing tab adds an empty field.  Blank
+    lines and ``#`` comments are skipped.
 
     Raises:
         FormatError: On malformed lines, mixed pitched/unpitched rows, or an
@@ -72,14 +73,14 @@ def parse_score(text: str) -> ScoreSequence:
     durations: list[int] = []
     has_notes: bool | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
+        # Split before stripping, so a leading or trailing tab adds a field.
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        phonemes.append(_decimal(parts[0], lineno, "phoneme"))
-        durations.append(_decimal(parts[2], lineno, "duration"))
+        phonemes.append(_decimal(parts[0].lstrip(), lineno, "phoneme"))
+        durations.append(_decimal(parts[2].rstrip(), lineno, "duration"))
         pitched = parts[1] != "-"
         if has_notes is None:
             has_notes = pitched
@@ -241,21 +242,6 @@ class PosteriorWeights:
         out_w, out_b = (tensors[name] for name, _ in head)
         return cls([tuple(tensors[name] for name, _ in rows) for rows in layers], out_w, out_b)
 
-    def check(self, cfg: PosteriorConfig) -> list[str]:
-        layers, head = _posterior_tensors(cfg)
-        where = (f"layer {i}:" for i in range(cfg.num_layers))
-        parts = [*zip(where, self.layers, layers), ("head", (self.out_w, self.out_b), head)]
-        # A tensor goes by its name after ``posterior.{i}.`` or ``posterior.out.``.
-        problems = [
-            f"posterior {part} {name.split('.', 2)[2]} {arr.shape}, wants {shape}"
-            for part, arrays, rows in parts
-            for arr, (name, shape) in zip(arrays, rows)
-            if arr.shape != shape
-        ]
-        if len(self.layers) != cfg.num_layers:
-            problems.append(f"posterior has {len(self.layers)} layers, wants {cfg.num_layers}")
-        return problems
-
 
 def acoustic_channels(mcep: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """Stack reference features channel-wise: ``[mcep_dim + 1, frames]``.
@@ -277,13 +263,22 @@ class PosteriorEncoder:
 
     A stack of 1-D convolutions (causal or symmetric per ``causal``) with
     frame-wise layer norm and relu, closed by a pointwise head whose output
-    splits into mean and log-sigma; sigma is ``exp`` of the latter.
+    splits into mean and log-sigma; sigma is ``exp`` of the latter.  The
+    weights are checked against :func:`posterior_tensor_shapes` under their
+    weight-file names.
     """
 
     def __init__(self, cfg: PosteriorConfig, weights: PosteriorWeights, causal: bool):
-        problems = weights.check(cfg)
-        if problems:
-            raise ConfigError("; ".join(problems))
+        if len(weights.layers) != cfg.num_layers:
+            raise ConfigError(f"posterior has {len(weights.layers)} layers, wants {cfg.num_layers}")
+        layers, head = _posterior_tensors(cfg)
+        arrays = (*weights.layers, (weights.out_w, weights.out_b))
+        bound = {
+            name: arr.shape
+            for part, rows in zip(arrays, (*layers, head))
+            for arr, (name, _) in zip(part, rows)
+        }
+        check_shapes(bound, posterior_tensor_shapes(cfg))
         self.cfg = cfg
         self.weights = weights
         self.causal = causal

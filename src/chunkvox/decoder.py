@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convs import ConvSpec, ConvState, causal_conv1d_offline, causal_conv1d_step, init_conv_state
-from .errors import ConfigError, SequencingError, ShapeError
+from .convs import ConvSpec, ConvState, causal_conv1d_offline, causal_conv1d_step
+from .errors import ConfigError, SequencingError, ShapeError, check_shapes
 from .kernels import DTYPE, layer_norm, matmul, relu, softmax
 
 # Query rows per attention block in full_attention_layer: a t-frame sequence
@@ -142,21 +142,6 @@ class AttentionLayerWeights:
         )
         return cls(**attention, smooth=SmoothWeights(**smoothing) if smoothing else None)
 
-    def check(self, cfg: ChunkConfig, layer: int) -> list[str]:
-        """Collect human-readable shape problems (empty list when clean)."""
-        attention, smoothing = _layer_tensors(cfg)[0]  # every layer has the same shapes
-        parts = [("", self, attention), ("smooth.", self.smooth, smoothing)]
-        problems = [
-            f"layer {layer}: {prefix}{f} has shape {getattr(w, f).shape}, wants {shape}"
-            for prefix, w, rows in parts
-            if w is not None
-            for f, _, shape in rows
-            if getattr(w, f).shape != shape
-        ]
-        if smoothing and self.smooth is None:
-            problems.append(f"layer {layer}: smoothing enabled but weights missing")
-        return problems
-
 
 # Cached: every full-mode synth builds a DecoderStream, which checks every layer.
 @lru_cache(maxsize=8)
@@ -185,33 +170,19 @@ def decoder_tensor_shapes(cfg: ChunkConfig) -> dict[str, tuple[int, ...]]:
 
 
 @dataclass
-class SmoothState:
-    """Both smoothing convs' carried history."""
-
-    conv1: ConvState
-    conv2: ConvState
-
-
-@dataclass
 class _LayerState:
     """Per-layer streaming caches.
 
     ``kv_left`` holds the key projections of the last ``left_context`` body
     frames in its first ``hidden`` columns and their value projections in
     the rest.  ``memory`` is the bank, oldest first, one ``[1, hidden]``
-    row per entry.
+    row per entry.  ``smooth`` is the ``(conv1, conv2)`` history of the
+    smoothing layer, or None when smoothing is off.
     """
 
     kv_left: np.ndarray
     memory: list[np.ndarray] = field(default_factory=list)
-    smooth: SmoothState | None = None
-
-
-@dataclass
-class DecoderState:
-    """Streaming state across the whole layer stack."""
-
-    layers: list[_LayerState]
+    smooth: tuple[ConvState, ConvState] | None = None
 
 
 # Cached: every smoothing call reads its conv spec from here.
@@ -220,18 +191,11 @@ def _smooth_conv_spec(cfg: ChunkConfig) -> ConvSpec:
     return ConvSpec(cfg.hidden, cfg.hidden, cfg.smooth_kernel, pad_mode="constant")
 
 
-def init_decoder_state(cfg: ChunkConfig) -> DecoderState:
+def init_decoder_state(cfg: ChunkConfig) -> list[_LayerState]:
+    """One fresh state per layer: empty cache and bank, no smoothing history."""
     empty = np.zeros((0, 2 * cfg.hidden), dtype=DTYPE)
-    spec = _smooth_conv_spec(cfg)
-    layers = []
-    for _ in range(cfg.num_layers):
-        smooth = (
-            SmoothState(conv1=init_conv_state(spec), conv2=init_conv_state(spec))
-            if cfg.use_smooth
-            else None
-        )
-        layers.append(_LayerState(kv_left=empty, smooth=smooth))
-    return DecoderState(layers=layers)
+    smooth = (ConvState(), ConvState()) if cfg.use_smooth else None
+    return [_LayerState(kv_left=empty, smooth=smooth) for _ in range(cfg.num_layers)]
 
 
 def summary_vector(chunk: np.ndarray) -> np.ndarray:
@@ -276,14 +240,15 @@ def _ffn_block(h: np.ndarray, w: AttentionLayerWeights) -> np.ndarray:
 
 def causal_smooth_layer(
     chunk: np.ndarray,
-    state: SmoothState,
+    state: tuple[ConvState, ConvState],
     w: SmoothWeights,
     cfg: ChunkConfig,
     commit: int | None = None,
-) -> tuple[np.ndarray, SmoothState]:
+) -> tuple[np.ndarray, tuple[ConvState, ConvState]]:
     """Run the two causal conv -> layer-norm stages over one chunk.
 
-    Returns the smoothed chunk and the advanced state; feeding chunks in
+    ``state`` is the ``(conv1, conv2)`` pair of carried conv histories.
+    Returns the smoothed chunk and the advanced pair; feeding chunks in
     sequence reproduces the offline evaluation of the same stack.  With
     ``commit`` the whole chunk is smoothed but the state advances over its
     first ``commit`` frames only (see :func:`causal_conv1d_step`).
@@ -291,11 +256,10 @@ def causal_smooth_layer(
     if chunk.shape[0] == 0:
         return chunk, state
     spec = _smooth_conv_spec(cfg)
-    s1, y = causal_conv1d_step(state.conv1, chunk.T, w.conv1_w, w.conv1_b, spec, commit)
+    s1, y = causal_conv1d_step(state[0], chunk.T, w.conv1_w, w.conv1_b, spec, commit)
     y = _norm_frames(y, w.norm1_gamma, w.norm1_beta)
-    s2, y2 = causal_conv1d_step(state.conv2, y.T, w.conv2_w, w.conv2_b, spec, commit)
-    out = _norm_frames(y2, w.norm2_gamma, w.norm2_beta)
-    return out, SmoothState(conv1=s1, conv2=s2)
+    s2, y2 = causal_conv1d_step(state[1], y.T, w.conv2_w, w.conv2_b, spec, commit)
+    return _norm_frames(y2, w.norm2_gamma, w.norm2_beta), (s1, s2)
 
 
 def _norm_frames(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -322,7 +286,7 @@ def _smooth_offline(x: np.ndarray, w: SmoothWeights, cfg: ChunkConfig) -> np.nda
 def chunk_attention_layer(
     body: np.ndarray,
     lookahead: np.ndarray,
-    state: DecoderState,
+    state: list[_LayerState],
     layer: int,
     w: AttentionLayerWeights,
     cfg: ChunkConfig,
@@ -332,9 +296,9 @@ def chunk_attention_layer(
     Args:
         body: Raw chunk frames ``[n, hidden]``, ``n >= 1``.
         lookahead: Raw right-context frames ``[r, hidden]``, possibly empty.
-        state: Whole-stack streaming state; this layer's key/value cache is
-            advanced in place.
-        layer: Index into ``state.layers``.
+        state: One streaming state per layer; ``state[layer]``'s key/value
+            cache is advanced in place.
+        layer: Index into ``state``.
         w: Layer parameters.
         cfg: Decoder configuration.
 
@@ -350,7 +314,7 @@ def chunk_attention_layer(
         raise ShapeError(
             f"chunk width {body.shape[1]}/{lookahead.shape[1]} does not match hidden {cfg.hidden}"
         )
-    ls = state.layers[layer]
+    ls = state[layer]
     n, nr, d = body.shape[0], body.shape[0] + lookahead.shape[0], cfg.hidden
     left = ls.kv_left.shape[0]
 
@@ -387,14 +351,24 @@ class DecoderStream:
     the final chunks run with partial or empty lookahead.  A chunk that
     raises leaves the layer caches half-advanced, so the stream is poisoned:
     every later call raises :class:`SequencingError` naming that error.
+
+    The weights are checked against :func:`decoder_tensor_shapes` under
+    their weight-file names, so a misshapen array raises
+    :class:`ConfigError` here instead of broadcasting into wrong audio.
+    ``state`` holds one :class:`_LayerState` per layer.
     """
 
     def __init__(self, cfg: ChunkConfig, weights: list[AttentionLayerWeights]):
         if len(weights) != cfg.num_layers:
             raise ConfigError(f"{len(weights)} weight sets for {cfg.num_layers} layers")
-        problems = [p for i, w in enumerate(weights) for p in w.check(cfg, i)]
-        if problems:
-            raise ConfigError("; ".join(problems))
+        bound = {
+            name: getattr(part, f).shape
+            for w, rows in zip(weights, _layer_tensors(cfg))
+            for part, part_rows in zip((w, w.smooth), rows)
+            if part is not None
+            for f, name, _ in part_rows
+        }
+        check_shapes(bound, decoder_tensor_shapes(cfg))
         self.cfg = cfg
         self.weights = weights
         self.state = init_decoder_state(cfg)
@@ -464,14 +438,14 @@ class DecoderStream:
         for i, w in enumerate(self.weights):
             x, mem = chunk_attention_layer(x[:n], x[n:], self.state, i, w, cfg)
             if cfg.use_smooth:
-                ls = self.state.layers[i]
+                ls = self.state[i]
                 assert w.smooth is not None and ls.smooth is not None
                 # Committed conv history only ever contains body frames.
                 x, ls.smooth = causal_smooth_layer(x, ls.smooth, w.smooth, cfg, commit=n)
             new_memories.append(mem)
         if cfg.memory_slots > 0:
             for i, mem in enumerate(new_memories[:-1]):
-                bank = self.state.layers[i + 1].memory
+                bank = self.state[i + 1].memory
                 bank.append(mem[None])
                 del bank[: max(0, len(bank) - cfg.memory_slots)]
         self._buf = self._buf[n:]

@@ -314,7 +314,7 @@ def config_from_json(obj: dict) -> ModelConfig:
     if not isinstance(obj, dict):
         raise FormatError("config root is not an object")
     version = obj.get("version")
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:  # true and 1.0 equal 1 too
         raise FormatError(f"unsupported config version {version!r}")
     unknown = [k for k in obj if k != "version" and k not in _SECTIONS]
     if unknown:

@@ -70,6 +70,12 @@ class TestScoreParsing:
         with pytest.raises(FormatError, match="line 2"):
             parse_score("5\t60\t4\n" + "\t".join(row) + "\n")
 
+    @pytest.mark.parametrize("line", ["5\t60\t4\t\n", "6\t-\t\t"])
+    def test_empty_trailing_field_is_counted(self, line):
+        """A trailing tab adds an empty fourth field; the format has three."""
+        with pytest.raises(FormatError, match="expected 3 tab-separated fields, got 4"):
+            parse_score(line)
+
     def test_empty_score_rejected(self):
         with pytest.raises(FormatError):
             parse_score("# nothing\n")
@@ -388,7 +394,7 @@ class TestPosteriorEncoder:
         w.out_b = np.zeros(3, F32)
         with pytest.raises(ConfigError) as err:
             PosteriorEncoder(self.CFG, w, causal=True)
-        assert "head bias" in str(err.value)
+        assert "posterior.out.bias" in str(err.value)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):

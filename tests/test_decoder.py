@@ -83,7 +83,7 @@ class TestSmoothLayer:
         cfg = dataclasses.replace(SMALL, hidden=8)
         w = rand_smooth_weights(rng, cfg)
         x = rand_frames(rng, 23, 8)
-        state = init_decoder_state(cfg).layers[0].smooth
+        state = init_decoder_state(cfg)[0].smooth
         outs = []
         pos = 0
         for n in (5, 1, 7, 0, 10):
@@ -103,7 +103,7 @@ class TestSmoothLayer:
         cfg = dataclasses.replace(SMALL, hidden=8)
         w = rand_smooth_weights(rng, cfg)
         x = rand_frames(rng, 15, 8)
-        state = init_decoder_state(cfg).layers[0].smooth
+        state = init_decoder_state(cfg)[0].smooth
         outs = []
         for start in (0, 5, 10):
             body = x[start : start + 5]
@@ -130,7 +130,7 @@ class TestSmoothLayer:
         cfg = dataclasses.replace(SMALL, hidden=hidden)
         w = rand_smooth_weights(rng, cfg)
         x = rand_frames(rng, 23, hidden)
-        old = new = init_decoder_state(cfg).layers[0].smooth
+        old = new = init_decoder_state(cfg)[0].smooth
         for start, n, r in [(0, 5, 2), (5, 4, 2), (9, 1, 2), (10, 6, 0), (16, 5, 2), (21, 2, 0)]:
             body, look = x[start : start + n], x[start + n : start + n + r]
             body_out, old = causal_smooth_layer(body, old, w, cfg)
@@ -138,10 +138,10 @@ class TestSmoothLayer:
             out, new = causal_smooth_layer(x[start : start + n + r], new, w, cfg, commit=n)
             np.testing.assert_allclose(out[:n], body_out, atol=1e-6)
             np.testing.assert_allclose(out[n:], look_out, atol=1e-6)
-            np.testing.assert_array_equal(new.conv1.buf, old.conv1.buf)
-            np.testing.assert_allclose(new.conv2.buf, old.conv2.buf, atol=5e-6)
+            np.testing.assert_array_equal(new[0].buf, old[0].buf)
+            np.testing.assert_allclose(new[1].buf, old[1].buf, atol=5e-6)
             if r == 0:
-                np.testing.assert_array_equal(new.conv2.buf, old.conv2.buf)
+                np.testing.assert_array_equal(new[1].buf, old[1].buf)
 
 
 class TestFullAttentionOracle:
@@ -409,7 +409,7 @@ class TestStreamingBehavior:
         w[1].ffn_b1 = np.zeros(5, F32)
         with pytest.raises(ConfigError) as err:
             DecoderStream(SMALL, w)
-        assert "w_q" in str(err.value) and "ffn_b1" in str(err.value)
+        assert "decoder.0.w_q" in str(err.value) and "decoder.1.ffn.b1" in str(err.value)
 
 
 def _ln(x, gamma, beta):
@@ -459,7 +459,7 @@ class TestChunkLayer:
         w = rand_decoder_weights(rng, SMALL)
         stream = DecoderStream(SMALL, w)
         stream.feed(rand_frames(rng, 2 * SMALL.chunk_size + SMALL.right_context, SMALL.hidden))
-        ls = stream.state.layers[1]
+        ls = stream.state[1]
         d = SMALL.hidden
         assert len(ls.memory) == 2 and ls.kv_left.shape == (SMALL.left_context, 2 * d)
         body = rand_frames(rng, n, d)
@@ -485,7 +485,7 @@ class TestKeyValueCache:
         body = x[: cfg.chunk_size]
         want_k = body[-cfg.left_context :] @ w[0].w_k
         want_v = body[-cfg.left_context :] @ w[0].w_v
-        kv_left = stream.state.layers[0].kv_left
+        kv_left = stream.state[0].kv_left
         np.testing.assert_allclose(kv_left[:, : cfg.hidden], want_k, atol=1e-6)
         np.testing.assert_allclose(kv_left[:, cfg.hidden :], want_v, atol=1e-6)
 
@@ -510,7 +510,7 @@ class TestKeyValueCache:
         stream.feed(x)
         stream.finish()
         want_kv = np.hstack([x[2:9] @ w[0].w_k, x[2:9] @ w[0].w_v])
-        np.testing.assert_allclose(stream.state.layers[0].kv_left, want_kv, atol=1e-6)
+        np.testing.assert_allclose(stream.state[0].kv_left, want_kv, atol=1e-6)
 
     def test_zero_left_context_keeps_cache_empty(self):
         rng = np.random.default_rng(16)
@@ -518,7 +518,7 @@ class TestKeyValueCache:
         w = rand_decoder_weights(rng, cfg)
         stream = DecoderStream(cfg, w)
         stream.feed(rand_frames(rng, 14, cfg.hidden))
-        assert stream.state.layers[0].kv_left.shape == (0, 2 * cfg.hidden)
+        assert stream.state[0].kv_left.shape == (0, 2 * cfg.hidden)
 
     def test_left_context_influences_later_chunks(self):
         rng = np.random.default_rng(17)
@@ -543,9 +543,9 @@ class TestMemoryBank:
         seen = []
         for i in range(6):
             stream.feed(x[i * cfg.chunk_size : (i + 1) * cfg.chunk_size])
-            seen.append(len(stream.state.layers[1].memory))
+            seen.append(len(stream.state[1].memory))
         assert seen == [1, 2, 2, 2, 2, 2]
-        assert stream.state.layers[0].memory == []
+        assert stream.state[0].memory == []
 
     def test_memory_first_affects_second_chunk(self):
         """The bank is filled after a chunk completes, so chunk 0 is memory

@@ -1,5 +1,6 @@
 """Lint: every module of the package, the tests and perfbench uses what it
-imports, and no package module imports another's private names.
+imports, no package module imports another's private names, and no package
+dataclass wraps a single field.
 
 A standard-library AST scan, so it runs wherever the tests run.  Package
 ``__init__.py`` files only re-export and ``from __future__`` imports bind
@@ -76,3 +77,40 @@ def test_scan_finds_a_private_import():
         "from . import _x\n"
     )
     assert private_imports(source) == [(3, "_conv_valid"), (4, "_mha"), (5, "_x")]
+
+
+def single_field_dataclasses(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each ``@dataclass`` class with exactly one field."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        names = {d.id if isinstance(d, ast.Name) else getattr(d, "attr", None) for d in decorators}
+        fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+        if "dataclass" in names and len(fields) == 1:
+            found.append((node.lineno, node.name))
+    return found
+
+
+def test_no_single_field_dataclasses():
+    """A dataclass of one field only wraps a value its callers can hold."""
+    paths = sorted(ROOT.glob("src/chunkvox/*.py"))
+    assert len(paths) > 5
+    wrappers = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
+        for line, name in single_field_dataclasses(path.read_text(encoding="utf-8"))
+    ]
+    assert wrappers == []
+
+
+def test_scan_finds_a_single_field_dataclass():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    \"\"\"Doc.\"\"\"\n    y: int = 0\n"
+        "@dataclass\nclass Pair:\n    x: int\n    y: int\n"
+        "class Plain:\n    x: int\n"
+    )
+    assert single_field_dataclasses(source) == [(4, "A"), (7, "B")]

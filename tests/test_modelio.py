@@ -12,9 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chunkvox.acoustic import ScoreSequence, posterior_tensor_shapes
+from chunkvox.acoustic import (
+    PosteriorEncoder,
+    PosteriorWeights,
+    ScoreSequence,
+    posterior_tensor_shapes,
+)
 from chunkvox.cli import main as cli_main
-from chunkvox.decoder import AttentionLayerWeights, ChunkConfig, SmoothWeights
+from chunkvox.decoder import AttentionLayerWeights, ChunkConfig, DecoderStream, SmoothWeights
 from chunkvox.dsp import MelConfig
 from chunkvox.errors import ChunkvoxError, ConfigError, FormatError
 from chunkvox.modelio import (
@@ -336,6 +341,14 @@ class TestConfigSchema:
         obj = config_to_json(tiny_config())
         obj["version"] = 2
         with pytest.raises(FormatError, match="version"):
+            config_from_json(obj)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_version_must_be_the_integer_one(self, version):
+        """``True == 1.0 == 1`` in Python; only the JSON integer 1 is version 1."""
+        obj = config_to_json(tiny_config())
+        obj["version"] = version
+        with pytest.raises(FormatError, match=re.escape(f"version {version!r}")):
             config_from_json(obj)
 
     def test_non_json_rejected(self, tmp_path):
@@ -678,8 +691,54 @@ class TestManifestAndBundle:
     def test_decoder_weights_pass_shape_check(self):
         cfg = tiny_config()
         bundle = build_bundle(cfg, make_random_tensors(cfg, seed=2))
-        for i, w in enumerate(bundle.decoder_weights):
-            assert w.check(cfg.chunk, i) == []
+        DecoderStream(cfg.chunk, bundle.decoder_weights)
+
+
+def _bind_decoder(cfg, tensors):
+    layers = range(cfg.chunk.num_layers)
+    return [AttentionLayerWeights.from_tensors(cfg.chunk, tensors, i) for i in layers]
+
+
+class TestConsumerShapeChecks:
+    """``DecoderStream`` and ``PosteriorEncoder`` check the arrays they are
+    handed, under their weight-file names, with ``check_shapes``' wording."""
+
+    CFG = tiny_config()
+    NAMES = [n for n in tensor_manifest(CFG) if n.startswith(("decoder.", "posterior."))]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_misshapen_tensor_is_named(self, name):
+        cfg = self.CFG
+        tensors = make_random_tensors(cfg, seed=5)
+        want = tensors[name].shape
+        tensors[name] = np.zeros(want[:-1] + (want[-1] + 1,), dtype=np.float32)
+        with pytest.raises(ConfigError) as err:
+            if name.startswith("decoder."):
+                DecoderStream(cfg.chunk, _bind_decoder(cfg, tensors))
+            else:
+                PosteriorEncoder(
+                    cfg.posterior, PosteriorWeights.from_tensors(cfg.posterior, tensors), True
+                )
+        assert str(err.value) == f"tensor {name} has shape {tensors[name].shape}, wants {want}"
+
+    def test_enabled_smoothing_without_weights(self):
+        cfg = self.CFG
+        weights = _bind_decoder(cfg, make_random_tensors(cfg, seed=5))
+        weights[0].smooth = None
+        with pytest.raises(ConfigError) as err:
+            DecoderStream(cfg.chunk, weights)
+        names = [n for n in tensor_manifest(cfg) if n.startswith("decoder.0.smooth.")]
+        assert len(names) == 8
+        assert str(err.value) == "; ".join(f"missing tensor {n}" for n in names)
+
+    def test_wrong_posterior_layer_count(self):
+        cfg = self.CFG
+        w = PosteriorWeights.from_tensors(cfg.posterior, make_random_tensors(cfg, seed=5))
+        for layers in (w.layers[:1], w.layers * 2):
+            bad = dataclasses.replace(w, layers=layers)
+            with pytest.raises(ConfigError) as err:
+                PosteriorEncoder(cfg.posterior, bad, causal=True)
+            assert str(err.value) == f"posterior has {len(layers)} layers, wants 2"
 
 
 class TestSynthesisOnlyLoad:
