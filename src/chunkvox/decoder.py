@@ -345,12 +345,14 @@ def chunk_attention_layer(
 class DecoderStream:
     """Incremental driver for the chunkwise decoder.
 
-    Frames are buffered with :meth:`push`; :meth:`pop_chunk` processes one
-    chunk as soon as ``chunk_size + right_context`` frames are buffered and
-    returns its committed body output.  :meth:`finish` drains the tail, where
-    the final chunks run with partial or empty lookahead.  A chunk that
-    raises leaves the layer caches half-advanced, so the stream is poisoned:
-    every later call raises :class:`SequencingError` naming that error.
+    :meth:`feed` buffers frames and runs every chunk whose
+    ``chunk_size + right_context`` frames are buffered, returning their
+    committed body outputs; the chunk cuts do not depend on how the frames
+    were split across calls.  :meth:`finish` drains the tail, where the
+    final chunks run with partial or empty lookahead; feeding or finishing
+    after it raises :class:`SequencingError`.  A chunk that raises leaves
+    the layer caches half-advanced, so the stream is poisoned: every later
+    call raises :class:`SequencingError` naming that error.
 
     The weights are checked against :func:`decoder_tensor_shapes` under
     their weight-file names, so a misshapen array raises
@@ -376,61 +378,45 @@ class DecoderStream:
         self._finished = False
         self._failure: BaseException | None = None
 
-    def _check_usable(self) -> None:
+    def feed(self, frames: np.ndarray) -> list[np.ndarray]:
+        """Buffer ``[n, hidden]`` frames; return the body output of every chunk
+        whose body and full lookahead are now buffered."""
+        if frames.ndim != 2 or frames.shape[1] != self.cfg.hidden:
+            raise ShapeError(
+                f"frames shape {frames.shape} does not match [n, {self.cfg.hidden}]"
+            )
+        return self._drain(frames, self.cfg.chunk_size + self.cfg.right_context)
+
+    def finish(self) -> list[np.ndarray]:
+        """Mark the stream done and flush it; the last chunks may run with
+        partial or empty lookahead, and the very last may be short."""
+        return self._drain(None, 1)
+
+    def _drain(self, frames: np.ndarray | None, need: int) -> list[np.ndarray]:
+        """Buffer ``frames`` (None finishes the stream), then run one chunk at
+        a time while ``need`` frames are buffered."""
         if self._failure is not None:
             raise SequencingError(
                 "decoder stream is unusable after a failed chunk: "
                 f"{type(self._failure).__name__}: {self._failure}"
             ) from self._failure
-
-    def push(self, frames: np.ndarray) -> None:
-        """Buffer frames; no processing happens here."""
-        self._check_usable()
         if self._finished:
-            raise SequencingError("push after finish")
-        if frames.ndim != 2 or frames.shape[1] != self.cfg.hidden:
-            raise ShapeError(
-                f"frames shape {frames.shape} does not match [n, {self.cfg.hidden}]"
-            )
-        if frames.shape[0]:
+            raise SequencingError("finish called twice" if frames is None else "feed after finish")
+        if frames is None:
+            self._finished = True
+        elif frames.shape[0]:
             self._buf = np.concatenate([self._buf, frames.astype(DTYPE, copy=False)], axis=0)
-
-    def pop_chunk(self) -> np.ndarray | None:
-        """Process one full-lookahead chunk if enough frames are buffered."""
-        self._check_usable()
-        cfg = self.cfg
-        if self._buf.shape[0] < cfg.chunk_size + cfg.right_context:
-            return None
-        return self._process()
-
-    def feed(self, frames: np.ndarray) -> list[np.ndarray]:
-        """Push frames and return every chunk output that became ready."""
-        self.push(frames)
         outs = []
-        while (out := self.pop_chunk()) is not None:
-            outs.append(out)
-        return outs
-
-    def finish(self) -> list[np.ndarray]:
-        """Flush buffered frames; the last chunk may be short with no lookahead."""
-        self._check_usable()
-        if self._finished:
-            raise SequencingError("finish called twice")
-        self._finished = True
-        outs = []
-        while self._buf.shape[0] > 0:
-            outs.append(self._process())
-        return outs
-
-    def _process(self) -> np.ndarray:
-        """Run the chunk at the head of the buffer, then drop its body frames."""
         try:
-            return self._run_chunk()
+            while self._buf.shape[0] >= need:
+                outs.append(self._run_chunk())
         except BaseException as exc:
             self._failure = exc
             raise
+        return outs
 
     def _run_chunk(self) -> np.ndarray:
+        """Run the chunk at the head of the buffer, then drop its body frames."""
         cfg = self.cfg
         x = self._buf[: cfg.chunk_size + cfg.right_context]
         n = min(cfg.chunk_size, x.shape[0])

@@ -367,6 +367,8 @@ def tensor_manifest(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def make_random_tensors(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Uniform(-0.1, 0.1) weights; norm gains are centered at one."""
+    if seed < 0:
+        raise ConfigError(f"model seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in tensor_manifest(cfg).items():

@@ -42,21 +42,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acoustic import ScoreSequence, length_regulate
-from .convs import ConvSpec, conv_offline, conv_step, init_conv_state
 from .decoder import DecoderStream, chunkstream_decode, full_attention_oracle
 from .errors import ChunkvoxError, ConfigError, DomainError, ShapeError
 from .kernels import DTYPE
 from .modelio import PROBE_PREFIX, ModelBundle
 
 MODES = ("parallel", "semi", "full")
-VERIFY_CHECKS = (
-    "conv_streaming",
-    "causality",
-    "length_laws",
-    "attention_degenerate",
-    "padding_probe",
-    "finite",
-)
+# Longest score synthesized, in frames: about 3.4 hours at hop 512 and
+# 44.1 kHz.  Every mode embeds the whole score up front, so a longer one is
+# refused before anything is allocated.
+MAX_FRAMES = 1 << 20
 _F0_SCALE = 8.0
 # Latent frames per Generator.stream call in parallel mode: the vocoder's
 # temporaries span at most 64 * hop samples per node, whatever the score's
@@ -85,6 +80,10 @@ def score_to_frames(score: ScoreSequence, bundle: ModelBundle) -> np.ndarray:
     Returns:
         ``[total_frames, hidden]`` float32 frames.
     """
+    if score.total_frames > MAX_FRAMES:
+        raise DomainError(
+            f"score has {score.total_frames} frames, more than the {MAX_FRAMES} a synthesis takes"
+        )
     cfg = bundle.config
     bad = [p for p in score.phonemes if p >= cfg.frontend.phoneme_vocab]
     if bad:
@@ -184,6 +183,8 @@ def synth_chunks(
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if eps_seed < 0:
+        raise ConfigError(f"noise seed must be >= 0, got {eps_seed}")
     frames = score_to_frames(score, bundle)
     return _chunk_loop(frames, np.random.default_rng(eps_seed), bundle, mode)
 
@@ -302,7 +303,8 @@ def write_wav(wav: np.ndarray, sample_rate: int, path: str) -> None:
             f"waveform has {bad.size} non-finite samples, the first at index {bad[0]}"
         )
     pcm = np.rint(np.clip(wav, -1.0, 1.0) * 32767.0).astype("<i2")
-    with wave.open(path, "wb") as f:
+    # Opened first, so a bad path fails before any wave writer exists.
+    with open(path, "wb") as raw, wave.open(raw, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(sample_rate)
@@ -385,36 +387,20 @@ def bench(
 
 def _verify_conv_streaming(bundle: ModelBundle) -> tuple[bool, str]:
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for trial in range(6):
-        transposed = trial % 2 == 1
-        cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 4)) if transposed else int(rng.integers(1, 3))
-        kernel = stride * int(rng.integers(1, 3)) + (int(rng.integers(0, stride)) if transposed else int(rng.integers(0, 3)))
-        kernel = max(kernel, stride if transposed else 1)
-        spec = ConvSpec(
-            cin, cout, kernel, stride=stride, transposed=transposed,
-            pad_mode="replicate" if trial % 3 else "constant",
-        )
-        w = rng.uniform(-1, 1, (cout, cin, kernel)).astype(DTYPE)
-        b = rng.uniform(-1, 1, cout).astype(DTYPE)
-        x = rng.uniform(-1, 1, (cin, 23)).astype(DTYPE)
-        want = conv_offline(x, w, b, spec)
-        state = init_conv_state(spec)
-        outs = []
-        lo = 0
-        while lo < x.shape[1]:
-            width = int(rng.integers(1, 5))
-            state, y = conv_step(state, x[:, lo : lo + width], w, b, spec)
-            outs.append(y)
-            lo += width
-        got = np.concatenate(outs, axis=1)
-        if got.shape != want.shape:
-            return False, f"trial {trial}: chunked shape {got.shape}, one chunk {want.shape}"
-        if want.size:
-            worst = max(worst, float(np.abs(got - want).max()))
-    ok = worst <= 1e-5
-    return ok, f"max |chunked - one chunk| = {worst:.2e} over 6 random layers"
+    gen = bundle.generator
+    z = rng.uniform(-1, 1, (bundle.config.latent_dim, 23)).astype(DTYPE)
+    want = gen.offline(z)
+    states, parts, lo = gen.create_state(), [], 0
+    while lo < z.shape[1]:
+        width = int(rng.integers(1, 5))
+        states, audio = gen.stream(states, z[:, lo : lo + width])
+        parts.append(audio)
+        lo += width
+    got = np.concatenate(parts)
+    if got.shape != want.shape:
+        return False, f"streamed {got.shape[0]} samples, offline {want.shape[0]}"
+    diff = float(np.abs(got - want).max())
+    return diff <= 1e-5, f"generator streamed in 1-4 frame chunks vs offline: max diff {diff:.2e}"
 
 
 def _verify_causality(bundle: ModelBundle) -> tuple[bool, str]:
@@ -487,6 +473,17 @@ def _verify_finite(bundle: ModelBundle) -> tuple[bool, str]:
     return True, f"all {len(bundle.tensors)} tensors finite{unread}"
 
 
+_CHECKS = {
+    "conv_streaming": _verify_conv_streaming,
+    "causality": _verify_causality,
+    "length_laws": _verify_length_laws,
+    "attention_degenerate": _verify_attention_degenerate,
+    "padding_probe": _verify_padding_probe,
+    "finite": _verify_finite,
+}
+VERIFY_CHECKS = tuple(_CHECKS)
+
+
 def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list[dict]:
     """Run runtime self-checks against a loaded bundle.
 
@@ -497,19 +494,11 @@ def verify(bundle: ModelBundle, checks: tuple[str, ...] = VERIFY_CHECKS) -> list
     check that raises a ``ChunkvoxError`` fails with the error as its detail,
     so one bad tensor cannot stop the rest of the report.
     """
-    runners = {
-        "conv_streaming": _verify_conv_streaming,
-        "causality": _verify_causality,
-        "length_laws": _verify_length_laws,
-        "attention_degenerate": _verify_attention_degenerate,
-        "padding_probe": _verify_padding_probe,
-        "finite": _verify_finite,
-    }
     _check_selection("verify", "check", checks, VERIFY_CHECKS)
     report = []
     for check in checks:
         try:
-            passed, detail = runners[check](bundle)
+            passed, detail = _CHECKS[check](bundle)
         except ChunkvoxError as exc:  # e.g. non-finite weights reaching a kernel's guard
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         status = "skip" if passed is None else "pass" if passed else "fail"

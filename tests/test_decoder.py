@@ -287,11 +287,38 @@ class TestStreamingBehavior:
         stream = DecoderStream(SMALL, w)
         need = SMALL.chunk_size + SMALL.right_context
         for t in range(need - 1):
-            stream.push(rand_frames(rng, 1, SMALL.hidden))
-            assert stream.pop_chunk() is None
-        stream.push(rand_frames(rng, 1, SMALL.hidden))
-        out = stream.pop_chunk()
-        assert out is not None and out.shape == (SMALL.chunk_size, SMALL.hidden)
+            assert stream.feed(rand_frames(rng, 1, SMALL.hidden)) == []
+        out = stream.feed(rand_frames(rng, 1, SMALL.hidden))
+        assert len(out) == 1 and out[0].shape == (SMALL.chunk_size, SMALL.hidden)
+
+    def test_output_is_bitwise_independent_of_how_frames_arrive(self):
+        """The chunk cuts depend only on the frame count: over drawn tiny
+        configs, random feeds (empty ones included) then finish give the
+        same bits as one feed of every frame then finish."""
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            cfg = ChunkConfig(
+                chunk_size=int(rng.integers(1, 7)),
+                left_context=int(rng.integers(0, 5)),
+                right_context=int(rng.integers(0, 4)),
+                num_layers=int(rng.integers(1, 3)),
+                hidden=8,
+                ffn_hidden=12,
+                num_heads=2,
+                memory_slots=int(rng.integers(0, 4)),
+                use_smooth=bool(rng.integers(0, 2)),
+            )
+            w = rand_decoder_weights(rng, cfg)
+            x = rand_frames(rng, int(rng.integers(1, 41)), cfg.hidden)
+            whole = DecoderStream(cfg, w)
+            want = np.concatenate(whole.feed(x) + whole.finish())
+            stream, outs, lo = DecoderStream(cfg, w), [], 0
+            while lo < x.shape[0]:
+                width = int(rng.integers(0, 9))
+                outs += stream.feed(x[lo : lo + width])
+                lo += width
+            got = np.concatenate(outs + stream.finish())
+            assert np.array_equal(got, want), cfg
 
     def test_committed_chunks_are_bitwise_immune_to_later_frames(self):
         """Chunk i sees only its body, lookahead, and earlier state; editing
@@ -351,11 +378,11 @@ class TestStreamingBehavior:
         rng = np.random.default_rng(10)
         w = rand_decoder_weights(rng, SMALL)
         stream = DecoderStream(SMALL, w)
-        stream.push(rand_frames(rng, 3, SMALL.hidden))
+        stream.feed(rand_frames(rng, 3, SMALL.hidden))
         stream.finish()
-        with pytest.raises(SequencingError):
-            stream.push(rand_frames(rng, 1, SMALL.hidden))
-        with pytest.raises(SequencingError):
+        with pytest.raises(SequencingError, match="feed after finish"):
+            stream.feed(rand_frames(rng, 1, SMALL.hidden))
+        with pytest.raises(SequencingError, match="finish called twice"):
             stream.finish()
 
     def test_failed_chunk_poisons_the_stream(self, monkeypatch):
@@ -379,12 +406,7 @@ class TestStreamingBehavior:
         with pytest.raises(ShapeError, match="injected"):
             stream.feed(rand_frames(rng, 20, cfg.hidden))
         assert chunk == 2
-        calls = [
-            lambda: stream.push(rand_frames(rng, 1, cfg.hidden)),
-            stream.pop_chunk,
-            lambda: stream.feed(rand_frames(rng, 1, cfg.hidden)),
-            stream.finish,
-        ]
+        calls = [lambda: stream.feed(rand_frames(rng, 1, cfg.hidden)), stream.finish]
         for call in calls:
             with pytest.raises(SequencingError, match="ShapeError: injected failure in layer 2"):
                 call()
@@ -394,7 +416,7 @@ class TestStreamingBehavior:
         w = rand_decoder_weights(rng, SMALL)
         stream = DecoderStream(SMALL, w)
         with pytest.raises(ShapeError):
-            stream.push(np.zeros((4, SMALL.hidden + 1), F32))
+            stream.feed(np.zeros((4, SMALL.hidden + 1), F32))
 
     def test_wrong_layer_count_rejected(self):
         rng = np.random.default_rng(12)

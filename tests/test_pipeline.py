@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chunkvox import pipeline
+from chunkvox import convs, pipeline
 from chunkvox.acoustic import ScoreSequence
 from chunkvox.cli import main as cli_main
 from chunkvox.errors import ConfigError, DomainError, ShapeError
@@ -23,6 +25,7 @@ from chunkvox.modelio import (
 )
 from chunkvox.decoder import full_attention_oracle
 from chunkvox.pipeline import (
+    MAX_FRAMES,
     MODES,
     PARALLEL_TILE,
     VERIFY_CHECKS,
@@ -103,6 +106,17 @@ class TestScoreToFrames:
         diff = score_to_frames(pitched, bundle)[0, :-1] - score_to_frames(plain, bundle)[0, :-1]
         np.testing.assert_allclose(diff, bundle.note_embed[5], atol=1e-6)
 
+    def test_frame_count_above_the_cap_rejected_before_allocating(self, bundle):
+        # 10**12 frames would ask numpy for terabytes; the cap refuses first.
+        for durations in ((MAX_FRAMES, 1), (10**12,)):
+            score = ScoreSequence(phonemes=(1,) * len(durations), notes=None, durations=durations)
+            want = f"{sum(durations)} frames, more than the {MAX_FRAMES}"
+            with pytest.raises(DomainError, match=want):
+                score_to_frames(score, bundle)
+            for mode in MODES:
+                with pytest.raises(DomainError, match=want):
+                    synth(score, bundle, mode=mode)
+
     def test_out_of_vocab_rejected(self, bundle):
         with pytest.raises(DomainError, match="phoneme"):
             score_to_frames(
@@ -138,6 +152,16 @@ class TestSynth:
         a, _ = synth(sung_score(20), bundle, mode="full", eps_seed=5)
         b, _ = synth(sung_score(20), bundle, mode="full", eps_seed=6)
         assert not np.array_equal(a, b)
+
+    def test_negative_seed_rejected(self, bundle):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            synth(sung_score(8), bundle, eps_seed=-1)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+            synth_chunks(sung_score(8), bundle, mode="parallel", eps_seed=-2)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            bench([sung_score(8)], bundle, modes=("semi",), repeats=1, warmup=0, seed=-3)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -4"):
+            make_random_tensors(tiny_config(), seed=-4)
 
     def test_semi_matches_parallel(self, bundle):
         score = sung_score(23)
@@ -378,6 +402,13 @@ class TestWavIO:
             write_wav(wav, 8000, str(path))
         assert not path.exists()
 
+    def test_missing_directory_is_one_os_error(self, tmp_path):
+        # A half-built wave writer would also report an ignored exception
+        # when collected, which the warnings-as-errors setting turns into a
+        # failure here.
+        with pytest.raises(FileNotFoundError):
+            write_wav(np.zeros(4, dtype=np.float32), 8000, str(tmp_path / "no" / "a.wav"))
+
 
 class TestBench:
     def test_report_structure(self, bundle):
@@ -462,6 +493,15 @@ class TestVerify:
         assert laws["status"] == "skip" and "load_model(..., posterior=True)" in laws["detail"]
         assert all(row["status"] == "pass" for row in report.values())
         assert report["finite"]["detail"].endswith("the posterior's were not loaded")
+
+    def test_conv_streaming_alone_sees_a_short_stream_history(self, bundle, monkeypatch):
+        """Streams that carry one frame too little history still run, and the
+        offline paths are untouched: only conv_streaming can tell."""
+        real = convs.history
+        monkeypatch.setattr(convs, "history", lambda spec: real(spec) - 1)
+        report = {row["check"]: row for row in verify(bundle)}
+        assert report.pop("conv_streaming")["status"] == "fail"
+        assert all(row["status"] == "pass" for row in report.values())
 
     def test_a_check_that_raises_is_a_failed_row(self):
         cfg = tiny_config()
@@ -630,6 +670,50 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][0]["status"] == "fail"
+
+    @pytest.mark.parametrize("command", ["synth", "make-random-model"])
+    def test_negative_seed_is_json_config_error(self, tmp_path, capsys, command):
+        cpath, wpath = write_model_files(tmp_path)
+        if command == "synth":
+            out = str(tmp_path / "o.wav")
+            args = ["--weights", wpath, "--score", write_score_file(tmp_path), "--out", out]
+        else:
+            args = ["--out", str(tmp_path / "w2.cssw")]
+        assert cli_main([command, "--config", cpath, *args, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ConfigError" and "got -1" in err["message"]
+
+    def test_frame_count_above_the_cap_is_json_domain_error(self, tmp_path, capsys):
+        cpath, wpath = write_model_files(tmp_path)
+        spath = tmp_path / "huge.tsv"
+        spath.write_text("1\t-\t1000000000000\n")
+        args = ["--weights", wpath, "--score", str(spath), "--out", str(tmp_path / "o.wav")]
+        assert cli_main(["synth", "--config", cpath, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "DomainError"
+        assert f"1000000000000 frames, more than the {MAX_FRAMES}" in err["message"]
+
+    def test_out_to_a_missing_directory_prints_one_json_line(self, tmp_path):
+        """Run as a process, so stderr holds everything the interpreter
+        prints, including exceptions ignored while collecting objects."""
+        cpath, wpath = write_model_files(tmp_path)
+        out = str(tmp_path / "no" / "o.wav")
+        args = ["--weights", wpath, "--score", write_score_file(tmp_path), "--out", out]
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chunkvox.cli", "synth", "--config", cpath, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "OSError" and out in err["message"]
 
     def test_errors_are_json_on_stderr(self, tmp_path, capsys):
         code = cli_main(
