@@ -29,7 +29,12 @@ one rule for both: the carried state is the tail of the padded input seen
 so far, and each chunk runs the layer over ``[history; chunk]`` for just the
 output columns the chunk completes.  An offline evaluation (``*_offline``)
 is a fresh stream's one chunk, so the outputs of any chunking concatenate
-to it up to float associativity.
+to it up to float associativity.  A stride-1 plain step over at most
+``TIME_MAJOR_MAX_ROWS`` frames lays ``[history; chunk]`` out as time-major
+``[frames, in]`` rows and returns the transpose of ``[frames, out]`` rows,
+the layout the decoder's smoothing convs read and write, so a narrow chunk
+costs no transposes; each tap's GEMM is the per-tap form's with its
+operands swapped, and the carried history has the same layout either way.
 
 Natural padding, giving each chunk real preceding frames in place of zeros,
 is therefore what every stream already does: padding (``replicate`` or
@@ -169,6 +174,52 @@ def _conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSp
     return acc
 
 
+# Output frames up to which a stride-1 plain conv runs on time-major rows
+# (:func:`_conv_rows`).  Per call on 2-vCPU x86-64 (OpenBLAS), with the
+# decoder's copy of the output into rows counted for both forms, the decoder's
+# smoothing conv (192 -> 192 channels, 3 taps) took 0.72-0.95x the per-tap
+# form's time at 1-6 frames (9.4-12.7 us), then 2.68x and 2.85x at 7 and 8,
+# where BLAS's [rows, 192] @ [192, 192] product gets slower than its
+# transpose, and 1.51-2.11x at 16-26.  The vocoder's ``pre`` (192 -> 64,
+# 7 taps), whose output is not copied, took 0.86-0.97x at 1-7 frames and
+# 1.71x at 20.
+TIME_MAJOR_MAX_ROWS = 6
+
+
+def _conv_rows(
+    state: ConvState, chunk: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec,
+    commit: int,
+) -> tuple[ConvState, np.ndarray]:
+    """:func:`causal_conv1d_step` of a stride-1 layer on time-major rows.
+
+    ``[history; chunk]`` is copied once into ``[frames, in]`` rows, a plain
+    copy when ``chunk`` is the transpose of rows, as the decoder's are.  Each
+    tap adds ``rows[j * dilation :][:n] @ w[:, :, j].T``, the per-tap form's
+    GEMM with its operands swapped, in the same tap order; on the decoder
+    and vocoder shapes that gives the same bits.  The output is the ``[out,
+    n]`` transpose of the ``[n, out]`` rows.  The state advances over the
+    first ``commit`` frames and is kept channel-major, as the per-tap form
+    keeps it, so a stream can switch forms from call to call.
+    """
+    n, h = chunk.shape[1], left_context(spec)
+    rows = np.empty((h + n, spec.in_channels), dtype=DTYPE)
+    if state.buf is not None:
+        rows[:h] = state.buf.T
+    elif spec.pad_mode == "replicate":
+        rows[:h] = chunk[:, 0]
+    else:
+        rows[:h] = 0
+    rows[h:] = chunk.T
+    out = rows[:n] @ w[:, :, 0].T
+    for j in range(1, spec.kernel_size):
+        off = j * spec.dilation
+        out += rows[off : off + n] @ w[:, :, j].T
+    out += b
+    if commit == 0:
+        return state, out.T
+    return ConvState(buf=np.ascontiguousarray(rows[commit : commit + h].T)), out.T
+
+
 # Input columns up to which a transposed conv runs as one stacked GEMM.  On the
 # default generator's four upsamplers (2-vCPU x86-64, OpenBLAS), one GEMM of
 # every tap took 0.20-0.89x the time of a GEMM per tap at 1-256 columns (1.02x
@@ -273,6 +324,10 @@ def causal_conv1d_step(
     feeding only the first ``commit`` frames would leave: the frames after
     them are a peek that never enters the history.
 
+    A stride-1 chunk of at most ``TIME_MAJOR_MAX_ROWS`` frames runs on
+    time-major rows (:func:`_conv_rows`), and its ``out`` is then the
+    transpose of a C-contiguous ``[n_out, out_channels]`` array.
+
     Returns:
         ``(next_state, out)`` with ``out`` of shape ``[out_channels, n_out]``.
     """
@@ -285,8 +340,11 @@ def causal_conv1d_step(
             raise ConfigError(f"commit needs stride 1, got stride {spec.stride}")
         if not 0 <= commit <= chunk.shape[1]:
             raise ConfigError(f"commit {commit} outside [0, {chunk.shape[1]}]")
-    if chunk.shape[1] == 0:
+    n = chunk.shape[1]
+    if n == 0:
         return state, np.zeros((spec.out_channels, 0), dtype=DTYPE)
+    if spec.stride == 1 and n <= TIME_MAJOR_MAX_ROWS:
+        return _conv_rows(state, chunk, w, b, spec, n if commit is None else commit)
     skip = state.skip
     if skip:
         # Frames still owed to a previous output hop (stride > chunk sizes).

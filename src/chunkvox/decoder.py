@@ -25,9 +25,14 @@ Frames are processed in fixed-size chunks.  For chunk ``i`` with body ``C``
     lookahead frames are smoothed but never enter committed history.
 
 The emitted sequence is the concatenation of the chunk bodies; lookahead
-outputs are consumed only inside the layer stack.  With ``chunk_size >=
-sequence length``, no lookahead, and no memory, the arithmetic degenerates
-to full self-attention (see :func:`full_attention_oracle`).
+outputs are consumed only inside the layer stack.  So the top layer, whose
+lookahead outputs and memory vector nothing reads, queries the layer-normed
+``C`` alone: its keys and values, and its left cache, are those of every
+layer, and its residual, feed-forward block and smoothing run over the body
+rows only.  Smoothing is causal, so the body rows come out as they would
+with the lookahead rows beside them.  With ``chunk_size >= sequence
+length``, no lookahead, and no memory, the arithmetic degenerates to full
+self-attention (see :func:`full_attention_oracle`).
 """
 
 from __future__ import annotations
@@ -267,7 +272,9 @@ def _norm_frames(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarr
 
     The rows are made contiguous first.  Normalizing the strided transpose
     in place reduces each row across ``hidden`` short runs, and at chunk
-    sizes that took 1.7x as long as the copy and a contiguous norm.
+    sizes that took 1.7x as long as the copy and a contiguous norm.  A conv
+    over at most ``convs.TIME_MAJOR_MAX_ROWS`` frames returns the transpose of
+    contiguous rows (see :func:`causal_conv1d_step`), so it is not copied.
     """
     rows = np.ascontiguousarray(y.T)
     return layer_norm(rows, gamma, beta, out=rows)
@@ -290,7 +297,8 @@ def chunk_attention_layer(
     layer: int,
     w: AttentionLayerWeights,
     cfg: ChunkConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+    top: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """One decoder layer over one chunk.
 
     Args:
@@ -301,12 +309,15 @@ def chunk_attention_layer(
         layer: Index into ``state``.
         w: Layer parameters.
         cfg: Decoder configuration.
+        top: Whether this is the top layer, whose lookahead outputs and
+            memory vector nothing reads: only the body rows are queried.
 
     Returns:
         ``(out, memory_vec)``: ``out`` is ``[n + r, hidden]``, the body
         outputs then the lookahead outputs; ``memory_vec`` is the
         summary-attention output destined for layer ``layer + 1`` at the
-        next chunk.
+        next chunk.  With ``top``, ``out`` is the ``[n, hidden]`` body
+        outputs and ``memory_vec`` is None.
     """
     if body.shape[0] == 0:
         raise ShapeError("chunk body must contain at least one frame")
@@ -326,20 +337,26 @@ def chunk_attention_layer(
     matmul(src, w.w_k, out=kv[left:, :d])
     matmul(src, w.w_v, out=kv[left:, d:])
 
-    # Query rows: the layer-normed [body; lookahead], then the summary query.
-    queries = np.empty((nr + 1, d), dtype=DTYPE)
-    layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta, out=queries[:nr])
-    queries[nr] = summary_vector(x[:n])
+    # Query rows: the layer-normed [body; lookahead], then the summary query;
+    # the top layer queries the body alone.
+    if top:
+        x = x[:n]
+        queries = layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta)
+    else:
+        queries = np.empty((nr + 1, d), dtype=DTYPE)
+        layer_norm(x, w.attn_norm_gamma, w.attn_norm_beta, out=queries[:nr])
+        queries[nr] = summary_vector(x[:n])
     attn = _mha(matmul(queries, w.w_q), kv[:, :d], kv[:, d:], w.w_out, cfg.num_heads)
 
     if cfg.left_context > 0:
         # The cached rows and the body rows are adjacent in kv.
         ls.kv_left = kv[max(0, left + n - cfg.left_context) : left + n].copy()
 
-    # The last row answers the summary query: the memory vector, no residual.
-    h = attn[:nr]
+    # Below the top layer the last row answers the summary query: the memory
+    # vector, no residual.
+    h = attn[: x.shape[0]]
     h += x
-    return _ffn_block(h, w), attn[nr]
+    return _ffn_block(h, w), None if top else attn[nr]
 
 
 class DecoderStream:
@@ -421,8 +438,9 @@ class DecoderStream:
         x = self._buf[: cfg.chunk_size + cfg.right_context]
         n = min(cfg.chunk_size, x.shape[0])
         new_memories = []
+        top = len(self.weights) - 1
         for i, w in enumerate(self.weights):
-            x, mem = chunk_attention_layer(x[:n], x[n:], self.state, i, w, cfg)
+            x, mem = chunk_attention_layer(x[:n], x[n:], self.state, i, w, cfg, i == top)
             if cfg.use_smooth:
                 ls = self.state[i]
                 assert w.smooth is not None and ls.smooth is not None
@@ -435,7 +453,7 @@ class DecoderStream:
                 bank.append(mem[None])
                 del bank[: max(0, len(bank) - cfg.memory_slots)]
         self._buf = self._buf[n:]
-        return x[:n]
+        return x
 
 
 def chunkstream_decode(

@@ -410,6 +410,117 @@ def test_shape_rule_stacks_up_to_the_bound(monkeypatch):
     assert picked == [stacked, stacked, per_tap, per_tap]
 
 
+class TestTimeMajorRows:
+    """The time-major form of a stride-1 step against the per-frame loops, at
+    every width up to one past the rule's bound, with and without ``commit``."""
+
+    WIDTHS = range(1, convs.TIME_MAJOR_MAX_ROWS + 2)
+
+    @staticmethod
+    def layer(rng, cin, cout, k, dilation=1, pad_mode="constant"):
+        spec = ConvSpec(cin, cout, k, dilation=dilation, pad_mode=pad_mode)
+        w = tap_major(rng.normal(size=(cout, cin, k)) / np.sqrt(cin * k))
+        return spec, w, rng.normal(size=cout).astype(F32)
+
+    @staticmethod
+    def rows_view(x):
+        """``x`` as the decoder passes chunks: the transpose of time-major rows."""
+        return np.ascontiguousarray(x.T).T
+
+    @pytest.mark.parametrize("pad_mode", ["constant", "replicate"])
+    @pytest.mark.parametrize("hidden", [8, 192])
+    def test_each_width_and_commit_matches_naive(self, hidden, pad_mode):
+        """Each call's output is the naive output at its frames, and the state
+        it leaves carries on from its ``commit`` point as a fresh prefix would."""
+        rng = np.random.default_rng(hidden)
+        for k in range(1, 6):
+            for dilation in (1, 2):
+                spec, w, b = self.layer(rng, hidden, hidden, k, dilation, pad_mode)
+                x = rng.normal(size=(hidden, 24)).astype(F32)
+                want = naive_causal_conv(x, w, b, spec)
+                primed, _ = causal_conv1d_step(ConvState(), x[:, :5], w, b, spec)
+                for start, state in ((0, ConvState()), (5, primed)):
+                    for n in self.WIDTHS:
+                        for commit in (None, 0, n // 2, n):
+                            chunk = self.rows_view(x[:, start : start + n])
+                            got_state, got = causal_conv1d_step(state, chunk, w, b, spec, commit)
+                            at = f"k={k} d={dilation} start={start} n={n} commit={commit}"
+                            np.testing.assert_allclose(got, want[:, start : start + n], atol=1e-5, err_msg=at)
+                            go = start + (n if commit is None else commit)
+                            _, after = causal_conv1d_step(got_state, x[:, go : go + 3], w, b, spec)
+                            np.testing.assert_allclose(after, want[:, go : go + 3], atol=1e-5, err_msg=at)
+
+    @pytest.mark.parametrize("hidden", [8, 192])
+    def test_streams_crossing_the_rule_match_naive(self, hidden):
+        """History left by one form feeds the other: widths alternate across
+        the bound, committed like the decoder's body and lookahead."""
+        rng = np.random.default_rng(100 + hidden)
+        bound = convs.TIME_MAJOR_MAX_ROWS
+        for k, dilation in ((3, 1), (5, 2)):
+            spec, w, b = self.layer(rng, hidden, hidden, k, dilation)
+            x = rng.normal(size=(hidden, 80)).astype(F32)
+            want = naive_causal_conv(x, w, b, spec)
+            state, start = ConvState(), 0
+            plan = [(1, None), (bound + 3, None), (2, None), (bound + 1, 2), (bound, 4), (20, 20)]
+            plan += [(4, 2), (bound + 2, bound), (3, 3), (24, 20), (bound - 1, 0), (2, None)]
+            for n, commit in plan:
+                chunk = x[:, start : start + n]
+                if n % 2:
+                    chunk = self.rows_view(chunk)
+                state, got = causal_conv1d_step(state, chunk, w, b, spec, commit)
+                np.testing.assert_allclose(got, want[:, start : start + n], atol=1e-5, err_msg=f"{start} {n}")
+                start += n if commit is None else commit
+
+    @pytest.mark.parametrize("shape", [(192, 192, 3), (192, 64, 7), (8, 8, 5)])
+    def test_same_bits_as_the_per_tap_form(self, shape):
+        """Each tap's GEMM is the per-tap one with its operands swapped, so on
+        the decoder's smoothing and the vocoder's ``pre`` shapes the rows
+        carry the per-tap form's bits, from either input layout."""
+        rng = np.random.default_rng(shape[2])
+        spec, w, b = self.layer(rng, shape[0], shape[1], shape[2])
+        state = ConvState(buf=rng.normal(size=(shape[0], convs.history(spec))).astype(F32))
+        for n in range(1, convs.TIME_MAJOR_MAX_ROWS + 1):
+            x = rng.normal(size=(shape[0], n)).astype(F32)
+            want = convs._conv_valid(convs._extend(state, x, spec), w, b, spec)
+            for chunk in (x, self.rows_view(x)):
+                _, got = causal_conv1d_step(state, chunk, w, b, spec)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("hidden", [8, 192])
+    def test_committed_rows_equal_a_body_only_call_bitwise(self, hidden):
+        """A committed call gives its body rows and state as a call over the
+        body alone, at every width the rule sends to the time-major form.
+        Bodies have at least two frames: a one-row product goes to BLAS gemv,
+        which rounds differently from a row of a wider GEMM."""
+        rng = np.random.default_rng(200 + hidden)
+        spec, w, b = self.layer(rng, hidden, hidden, 3)
+        x = rng.normal(size=(hidden, 4 + convs.TIME_MAJOR_MAX_ROWS)).astype(F32)
+        state, _ = causal_conv1d_step(ConvState(), x[:, :4], w, b, spec)
+        for n in range(2, convs.TIME_MAJOR_MAX_ROWS + 1):
+            chunk = self.rows_view(x[:, 4 : 4 + n])
+            for commit in range(2, n + 1):
+                got_state, got = causal_conv1d_step(state, chunk, w, b, spec, commit)
+                want_state, want = causal_conv1d_step(state, chunk[:, :commit], w, b, spec)
+                np.testing.assert_array_equal(got[:, :commit], want)
+                np.testing.assert_array_equal(got_state.buf, want_state.buf)
+
+
+def test_time_major_rule_up_to_the_bound(monkeypatch):
+    """The form follows the chunk's width alone; strided layers keep the per-tap form."""
+    picked = []
+    for name in ("_conv_rows", "_conv_valid"):
+        real = getattr(convs, name)
+        monkeypatch.setattr(convs, name, lambda *a, name=name, real=real: picked.append(name) or real(*a))
+    plain, strided = ConvSpec(2, 2, 3), ConvSpec(2, 2, 3, stride=2)
+    w, b = np.zeros((2, 2, 3), F32), np.zeros(2, F32)
+    bound = convs.TIME_MAJOR_MAX_ROWS
+    for spec, n, commit in ((plain, 1, None), (plain, bound, 1), (plain, bound + 1, None),
+                            (plain, bound + 1, 2), (strided, 1, None)):
+        causal_conv1d_step(ConvState(), np.zeros((2, n), F32), w, b, spec, commit)
+    rows, per_tap = "_conv_rows", "_conv_valid"
+    assert picked == [rows, rows, per_tap, per_tap, per_tap]
+
+
 @st.composite
 def streamed_layers(draw):
     """A random plain or transposed layer, its input and a chunking of it."""

@@ -394,12 +394,12 @@ class TestStreamingBehavior:
         real = decoder.chunk_attention_layer
         chunk = 0
 
-        def failing(body, lookahead, state, layer, lw, lcfg):
+        def failing(body, lookahead, state, layer, lw, lcfg, top):
             nonlocal chunk
             chunk += layer == 0
             if chunk == 2 and layer == 2:
                 raise ShapeError("injected failure in layer 2")
-            return real(body, lookahead, state, layer, lw, lcfg)
+            return real(body, lookahead, state, layer, lw, lcfg, top)
 
         monkeypatch.setattr(decoder, "chunk_attention_layer", failing)
         stream = DecoderStream(cfg, w)
@@ -417,6 +417,46 @@ class TestStreamingBehavior:
         stream = DecoderStream(SMALL, w)
         with pytest.raises(ShapeError):
             stream.feed(np.zeros((4, SMALL.hidden + 1), F32))
+
+    # (body, lookahead) of each chunk of a 13-frame stream at 5/4/2.
+    CUTS = [(5, 2), (5, 2), (3, 0)]
+
+    def test_top_layer_runs_its_ffn_on_body_rows_alone(self, monkeypatch):
+        """Layers below the top feed body and lookahead rows on; the top
+        layer's lookahead outputs would be dropped, so it never makes them."""
+        rng = np.random.default_rng(13)
+        cfg = dataclasses.replace(SMALL, num_layers=3)
+        w = rand_decoder_weights(rng, cfg)
+        rows = []
+        real = decoder._ffn_block
+        monkeypatch.setattr(decoder, "_ffn_block", lambda h, lw: rows.append(h.shape[0]) or real(h, lw))
+        out = chunkstream_decode(rand_frames(rng, 13, cfg.hidden), cfg, w)
+        assert out.shape == (13, cfg.hidden)
+        assert rows == [m for n, r in self.CUTS for m in [n + r] * (cfg.num_layers - 1) + [n]]
+
+    def test_trace_targets_see_every_chunk(self, monkeypatch):
+        """perfbench's decoder spans wrap ``causal_conv1d_step`` and
+        ``chunk_attention_layer`` as this module's attributes: every chunk
+        makes two smoothing conv calls and one layer call per layer through
+        them."""
+        rng = np.random.default_rng(14)
+        cfg = dataclasses.replace(SMALL, num_layers=3)
+        w = rand_decoder_weights(rng, cfg)
+        calls = {"causal_conv1d_step": 0, "chunk_attention_layer": 0}
+        for name in calls:
+            real = getattr(decoder, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(decoder, name, counted)
+        chunkstream_decode(rand_frames(rng, 13, cfg.hidden), cfg, w)
+        chunks = len(self.CUTS)
+        assert calls == {
+            "causal_conv1d_step": 2 * cfg.num_layers * chunks,
+            "chunk_attention_layer": cfg.num_layers * chunks,
+        }
 
     def test_wrong_layer_count_rejected(self):
         rng = np.random.default_rng(12)
@@ -494,6 +534,24 @@ class TestChunkLayer:
         got = (out[:n], out[n:], mem, ls.kv_left[:, :d], ls.kv_left[:, d:])
         for g, x in zip(got, want):
             np.testing.assert_allclose(g, x, atol=1e-5)
+
+    @pytest.mark.parametrize("n, r", [(5, 2), (1, 2), (3, 0)])
+    def test_top_layer_returns_the_body_rows_alone(self, n, r):
+        """The top layer's body rows are the other layers' first ``n`` rows, it
+        makes no memory vector, and it advances its cache the same way."""
+        rng = np.random.default_rng(22)
+        w = rand_decoder_weights(rng, SMALL)
+        stream = DecoderStream(SMALL, w)
+        stream.feed(rand_frames(rng, 2 * SMALL.chunk_size + SMALL.right_context, SMALL.hidden))
+        body = rand_frames(rng, n, SMALL.hidden)
+        look = rand_frames(rng, r, SMALL.hidden)
+        state = stream.state
+        twin = [dataclasses.replace(ls) for ls in state]
+        want, _ = chunk_attention_layer(body, look, twin, 1, w[1], SMALL)
+        got, mem = chunk_attention_layer(body, look, state, 1, w[1], SMALL, top=True)
+        assert got.shape == (n, SMALL.hidden) and mem is None
+        np.testing.assert_allclose(got, want[:n], atol=1e-5)
+        np.testing.assert_array_equal(state[1].kv_left, twin[1].kv_left)
 
 
 class TestKeyValueCache:
